@@ -12,10 +12,7 @@
  * nocl::KernelCache, so a sweep compiles each kernel once instead of
  * once per point. The simulator is deterministic, therefore serial and
  * parallel runs report bit-identical cycle counts and modelled
- * statistics. (The simhost_* counters describe the host simulation
- * itself and depend on the adaptive engine cache's warm-up state -- a
- * kernel's first launch is the sampling launch -- so they are outside
- * this guarantee; see DESIGN.md section 10.)
+ * statistics.
  */
 
 #ifndef CHERI_SIMT_BENCH_BENCH_COMMON_HPP_
@@ -194,11 +191,9 @@ void printHeader(const std::string &id, const std::string &caption);
  * object:
  *
  *   "profile": { "launches": int, "instructions": int,
- *                "engine": "<auto|verbatim|fastpath|simd>",
  *                "fastpath_share": number,
  *                "packed_mem_share": number,
  *                "fusion_hit_rate": number,
- *                "resample_count": int,
  *                "stack_cache_hit_rate": number,
  *                "dram_bytes_per_transaction": number,
  *                "top_pcs": [ { "pc": "0x...", "count": int,

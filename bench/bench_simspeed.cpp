@@ -1,20 +1,18 @@
 /**
  * @file
- * Simulator host-throughput regression guard for the multi-engine
- * execute layer (DESIGN.md section 10): runs the suite under the
- * optimised CHERI configuration with each engine forced -- verbatim
- * per-lane, regularity fast path, packed host-SIMD -- and with the
- * adaptive policy (the default), and reports host instructions/second,
- * per-engine speedups over verbatim, and the scalarised-execution hit
- * rate.
+ * Simulator host-throughput regression guard for the execute layer
+ * (DESIGN.md section 10): runs the suite under the optimised CHERI
+ * configuration on the reference Verbatim engine and on the accelerated
+ * Simd engine (the default), and reports host instructions/second, the
+ * Simd speedup over Verbatim, and the scalarised-execution hit rate.
  *
  * The engines are bit-identical by construction (test_fastpath_parity
- * proves it); this harness guards the *reason they exist*:
+ * proves it); this harness guards the *reason Simd exists*:
  * uniform-heavy kernels (VecAdd, Reduce) should simulate several times
- * faster, and no kernel may regress under the adaptive policy -- the
- * per-benchmark `speedup >= 1.0` assertion below fails the run (and so
- * CI) on any per-kernel regression that a geomean would hide. This is
- * the guard that caught the SPMV fast-path regression.
+ * faster, and no kernel may regress under it -- the per-benchmark
+ * `speedup >= 1.0` assertion below fails the run (and so CI) on any
+ * per-kernel regression that a geomean would hide. This is the guard
+ * that caught the SPMV fast-path regression.
  *
  * Host wall-clock numbers are machine-dependent, so they live in the
  * JSON "metrics" object, never in the modelled "stats" counters. The
@@ -46,32 +44,31 @@ const std::vector<std::string> kFocus = {"VecAdd", "Reduce", "SPMV"};
 const char *kAdversarial = "BlkStencil";
 
 /**
- * Per-benchmark floor for the adaptive speedup-over-verbatim assertion.
+ * Per-benchmark floor for the Simd speedup-over-verbatim assertion.
  * The target is >= 1.0x on every kernel; the margin covers host timing
  * noise that survives the serial best-of-N re-measure (a few percent on
  * a loaded machine, worst for the microsecond-scale small workloads).
  */
-constexpr double kMinAdaptiveSpeedup = 0.95;
+constexpr double kMinSimdSpeedup = 0.95;
 
 /**
- * Focus-suite geomean floor for the adaptive engine: the packed memory
+ * Focus-suite geomean floor for the Simd engine: the packed memory
  * lanes + superinstruction fusion work targets >= 2.5x on the
- * uniform-heavy kernels (stretch 3x); below this the fast engines have
- * regressed structurally, not by noise.
+ * uniform-heavy kernels (stretch 3x); below this the accelerated engine
+ * has regressed structurally, not by noise.
  */
 constexpr double kMinFocusGeomean = 2.5;
 
 /**
- * Kernels the tuned guard + steady-state re-sampler newly promote off
- * the verbatim engine: each must show a real adaptive win, not just
- * avoid regressing.
+ * Irregular kernels (low fast-path hit rate): each must show a real
+ * Simd win, not just avoid regressing.
  */
-struct PromotedFloor
+struct KernelFloor
 {
     const char *name;
     double minSpeedup;
 };
-const PromotedFloor kPromoted[] = {
+const KernelFloor kKernelFloors[] = {
     {"Transpose", 1.2},
     {"VecGCD", 1.2},
 };
@@ -86,11 +83,10 @@ struct EngineRow
 
 const EngineRow kEngines[] = {
     {"verbatim", "cheri_opt_verbatim", simt::ExecEngine::Verbatim},
-    {"fastpath", "cheri_opt_fastpath", simt::ExecEngine::FastPath},
     {"simd", "cheri_opt_simd", simt::ExecEngine::Simd},
-    {"adaptive", "cheri_opt_adaptive", simt::ExecEngine::Auto},
 };
 constexpr size_t kNumEngines = sizeof(kEngines) / sizeof(kEngines[0]);
+constexpr size_t kSimd = 1; ///< index of the Simd row
 
 simt::SmConfig
 engineConfig(simt::ExecEngine sel)
@@ -106,12 +102,10 @@ struct Measured
     std::string name;
     bool ok = true;
     uint64_t instrs = 0;              ///< simhost_instrs (verbatim run)
-    uint64_t engineChosen = 0;        ///< simhost_engine of the adaptive run
-    double hitRate = 0.0;             ///< fastpath-engine full-run hit rate
+    double hitRate = 0.0;             ///< Simd full-run hit rate
     double bestNs[kNumEngines] = {};  ///< best-of-N wall clock per engine
-    uint64_t packedInstrs = 0;        ///< packed-mem instrs, warm adaptive run
+    uint64_t packedInstrs = 0;        ///< packed-mem instrs, Simd run
     uint64_t fusedInstrs = 0;         ///< fused-block (annotated) instrs
-    uint64_t resamples = 0;           ///< steady-state probes, warm adaptive run
 };
 
 /**
@@ -122,9 +116,7 @@ struct Measured
  * repetition re-prepares fresh input/output buffers so accumulating
  * kernels verify. Repetitions are interleaved across engines, so slow
  * host drift (thermal, background load) biases every engine equally
- * instead of penalising whichever is measured last. Repetitions beyond
- * the first run with a warm adaptive decision cache, so best-of-N
- * measures the engine the policy settled on.
+ * instead of penalising whichever is measured last.
  */
 bool
 measureBench(kernels::Benchmark &bench, kernels::Size size,
@@ -136,7 +128,6 @@ measureBench(kernels::Benchmark &bench, kernels::Size size,
                                                       Mode::Purecap));
     for (unsigned rep = 0; rep < reps; ++rep) {
         for (size_t ei = 0; ei < kNumEngines; ++ei) {
-            const simt::ExecEngine sel = kEngines[ei].sel;
             kernels::Prepared p = bench.prepare(*devs[ei], size);
             const nocl::RunResult res =
                 devs[ei]->launch(*p.kernel, p.cfg, p.args);
@@ -147,21 +138,15 @@ measureBench(kernels::Benchmark &bench, kernels::Size size,
                 m.bestNs[ei] = ns;
             if (ei == 0 && rep == 0)
                 m.instrs = res.stats.get("simhost_instrs");
-            if (sel == simt::ExecEngine::Auto) {
-                // Overwritten every repetition: the last (warm-cache)
-                // run reflects the engine the policy settled on.
-                m.engineChosen = res.stats.get("simhost_engine");
-                m.packedInstrs =
-                    res.stats.get("simhost_packed_mem_instrs");
-                m.fusedInstrs = res.stats.get("simhost_fused_instrs");
-                m.resamples = res.stats.get("simhost_resample_count");
-            }
-            if (sel == simt::ExecEngine::FastPath && rep == 0) {
+            if (ei == kSimd && rep == 0) {
                 const uint64_t in = res.stats.get("simhost_instrs");
                 m.hitRate = in ? static_cast<double>(res.stats.get(
                                      "simhost_fastpath_instrs")) /
                                      static_cast<double>(in)
                                : 0.0;
+                m.packedInstrs =
+                    res.stats.get("simhost_packed_mem_instrs");
+                m.fusedInstrs = res.stats.get("simhost_fused_instrs");
             }
         }
     }
@@ -176,8 +161,7 @@ main(int argc, char **argv)
     benchcommon::Harness h(argc, argv, "simspeed");
     benchcommon::printHeader(
         "SimSpeed", "host simulation throughput per execute engine "
-                    "(verbatim / fastpath / simd / adaptive, CHERI "
-                    "optimised)");
+                    "(verbatim / simd, CHERI optimised)");
 
     // ---- Matrix phase: record and verify every engine row ----
     // Runs on the shared worker pool; architectural outputs and stats
@@ -212,13 +196,13 @@ main(int argc, char **argv)
         measured.push_back(std::move(m));
     }
 
-    std::printf("%-12s %12s %10s %10s %10s %10s %9s %8s %6s %6s\n",
-                "Benchmark", "Instrs", "Verb Mi/s", "Fast spd", "Simd spd",
-                "Adpt spd", "Engine", "HitRate", "Pack%", "Fuse%");
+    std::printf("%-12s %12s %10s %10s %10s %8s %6s %6s\n", "Benchmark",
+                "Instrs", "Verb Mi/s", "Simd Mi/s", "Simd spd", "HitRate",
+                "Pack%", "Fuse%");
 
     std::vector<double> focus_speedups;
     std::vector<std::string> regressions;
-    std::vector<std::string> promo_failures;
+    std::vector<std::string> floor_failures;
     for (const auto &m : measured) {
         const double verb_ns = m.bestNs[0];
         const double verb_ips =
@@ -227,7 +211,7 @@ main(int argc, char **argv)
         double spd[kNumEngines] = {};
         for (size_t ei = 0; ei < kNumEngines; ++ei)
             spd[ei] = m.bestNs[ei] > 0.0 ? verb_ns / m.bestNs[ei] : 0.0;
-        const double adaptive = spd[kNumEngines - 1];
+        const double simd = spd[kSimd];
 
         const double packed_share =
             m.instrs ? static_cast<double>(m.packedInstrs) /
@@ -237,13 +221,11 @@ main(int argc, char **argv)
             m.instrs ? static_cast<double>(m.fusedInstrs) /
                            static_cast<double>(m.instrs)
                      : 0.0;
-        std::printf("%-12s %12llu %10.2f %9.2fx %9.2fx %9.2fx %9s "
-                    "%7.1f%% %5.1f%% %5.1f%%%s\n",
+        std::printf("%-12s %12llu %10.2f %10.2f %9.2fx %7.1f%% %5.1f%% "
+                    "%5.1f%%%s\n",
                     m.name.c_str(),
                     static_cast<unsigned long long>(m.instrs),
-                    verb_ips * 1e-6, spd[1], spd[2], adaptive,
-                    simt::execEngineName(
-                        static_cast<simt::ExecEngine>(m.engineChosen)),
+                    verb_ips * 1e-6, verb_ips * simd * 1e-6, simd,
                     m.hitRate * 100.0, packed_share * 100.0,
                     fusion_cov * 100.0, m.ok ? "" : "  [VERIFY FAILED]");
 
@@ -259,35 +241,30 @@ main(int argc, char **argv)
                                         : 0.0);
         }
         h.metric("hit_rate_" + m.name, m.hitRate);
-        h.metric("speedup_" + m.name, adaptive);
-        h.metric("engine_" + m.name,
-                 static_cast<double>(m.engineChosen));
+        h.metric("speedup_" + m.name, simd);
         h.metric("packed_mem_share_" + m.name, packed_share);
         h.metric("fusion_coverage_" + m.name, fusion_cov);
-        h.metric("resample_count_" + m.name,
-                 static_cast<double>(m.resamples));
         for (const auto &f : kFocus)
             if (m.name == f)
-                focus_speedups.push_back(adaptive);
+                focus_speedups.push_back(simd);
         if (m.name == kAdversarial)
-            h.metric("adversarial_speedup", adaptive);
+            h.metric("adversarial_speedup", simd);
 
-        // The per-kernel regression guard: the adaptive engine must not
-        // lose to verbatim on ANY benchmark (geomeans hide per-kernel
+        // The per-kernel regression guard: Simd must not lose to
+        // verbatim on ANY benchmark (geomeans hide per-kernel
         // regressions; this is how the SPMV 0.79x bug shipped).
-        if (m.ok && adaptive < kMinAdaptiveSpeedup)
+        if (m.ok && simd < kMinSimdSpeedup)
             regressions.push_back(m.name);
 
-        // Newly promoted kernels must realise their adaptive win.
-        for (const auto &p : kPromoted)
-            if (m.ok && m.name == p.name && adaptive < p.minSpeedup)
-                promo_failures.push_back(m.name);
+        // The once-verbatim kernels must realise their Simd win.
+        for (const auto &p : kKernelFloors)
+            if (m.ok && m.name == p.name && simd < p.minSpeedup)
+                floor_failures.push_back(m.name);
     }
 
     const double gm = benchcommon::geomean(focus_speedups);
-    std::printf("%-12s %12s %10s %10s %10s %9.2fx   (focus geomean, "
-                "adaptive)\n",
-                "geomean", "", "", "", "", gm);
+    std::printf("%-12s %12s %10s %10s %9.2fx   (focus geomean, simd)\n",
+                "geomean", "", "", "", gm);
     h.metric("focus_geomean_speedup", gm);
 
     // Multi-SM host scaling: the same focus launches with the grid
@@ -340,17 +317,16 @@ main(int argc, char **argv)
     h.finish();
 
     for (const auto &m : measured) {
-        const double adaptive =
-            m.bestNs[kNumEngines - 1] > 0.0
-                ? m.bestNs[0] / m.bestNs[kNumEngines - 1]
-                : 0.0;
+        const double simd = m.bestNs[kSimd] > 0.0
+                                ? m.bestNs[0] / m.bestNs[kSimd]
+                                : 0.0;
         const double hit_rate = m.hitRate;
         benchmark::RegisterBenchmark(
             ("simspeed/" + m.name).c_str(),
-            [adaptive, hit_rate](benchmark::State &state) {
+            [simd, hit_rate](benchmark::State &state) {
                 for (auto _ : state) {
                 }
-                state.counters["speedup"] = adaptive;
+                state.counters["speedup"] = simd;
                 state.counters["hit_rate"] = hit_rate;
             })
             ->Iterations(1);
@@ -366,19 +342,19 @@ main(int argc, char **argv)
     }
     if (!regressions.empty()) {
         std::fprintf(stderr,
-                     "simspeed: FAIL: adaptive engine slower than "
+                     "simspeed: FAIL: simd engine slower than "
                      "verbatim (speedup < %.2f) on:",
-                     kMinAdaptiveSpeedup);
+                     kMinSimdSpeedup);
         for (const auto &name : regressions)
             std::fprintf(stderr, " %s", name.c_str());
         std::fprintf(stderr, "\n");
         return 1;
     }
-    if (!promo_failures.empty()) {
+    if (!floor_failures.empty()) {
         std::fprintf(stderr,
-                     "simspeed: FAIL: promoted kernels below their "
-                     "adaptive floor:");
-        for (const auto &name : promo_failures)
+                     "simspeed: FAIL: kernels below their simd "
+                     "floor:");
+        for (const auto &name : floor_failures)
             std::fprintf(stderr, " %s", name.c_str());
         std::fprintf(stderr, "\n");
         return 1;

@@ -22,7 +22,7 @@
  * Flags:
  *   --bench <name>      suite benchmark (default VecAdd)
  *   --size small|full   workload size (default small)
- *   --engine-a <e>      verbatim | fastpath | simd | auto (default verbatim)
+ *   --engine-a <e>      verbatim | simd (default verbatim)
  *   --engine-b <e>      (default simd)
  *   --sms-a <n>         SMs of leg A (default 1)
  *   --sms-b <n>         SMs of leg B (default --sms-a)
@@ -66,16 +66,11 @@ struct Options
 simt::ExecEngine
 parseEngine(const std::string &name)
 {
-    if (name == "auto")
-        return simt::ExecEngine::Auto;
     if (name == "verbatim")
         return simt::ExecEngine::Verbatim;
-    if (name == "fastpath")
-        return simt::ExecEngine::FastPath;
     if (name == "simd")
         return simt::ExecEngine::Simd;
-    fatal("unknown engine '%s' (auto|verbatim|fastpath|simd)",
-          name.c_str());
+    fatal("unknown engine '%s' (verbatim|simd)", name.c_str());
 }
 
 Options

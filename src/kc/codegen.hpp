@@ -103,8 +103,8 @@ struct CompiledKernel
 
     /**
      * irFingerprint of the source IR (set by compile()). Stable kernel
-     * identity across configurations -- the launch layer keys the
-     * simulator's adaptive engine-decision cache with it.
+     * identity across configurations -- the kernel cache and the
+     * checkpoint header key on it.
      */
     uint64_t fingerprint = 0;
 };

@@ -368,7 +368,6 @@ Device::beginStepped(
 
     for (auto &sm : sms_) {
         sm->loadProgram(compiled.code);
-        sm->setProgramKey(launch->kernelKey_);
         // Stepped launches start from a zeroed scratchpad, like a fresh
         // device: plain launches inherit whatever the previous kernel
         // left there, which would make delta-replayed fault sites
@@ -969,13 +968,6 @@ Device::launchAttempt(
             sm.attachTrace(trace_->smBuffer(0),
                            trace_->pcScratch(0, compiled.code.size()));
         sm.loadProgram(compiled.code);
-        // Key the simulator's adaptive engine-decision cache with the
-        // KernelCache identity, so every compilation of the same kernel
-        // IR shares one decision (must precede launch(), which resolves
-        // the engine).
-        sm.setProgramKey(support::strprintf(
-            "%s|%016llx", compiled.name.c_str(),
-            static_cast<unsigned long long>(compiled.fingerprint)));
         sm.launch(0, warps_per_block);
         const bool completed = sm.run(max_cycles);
 
@@ -1010,16 +1002,13 @@ Device::launchAttempt(
     // private shard of the shared DRAM, then merge deterministically.
     // A cross-SM conflict aborts the merge (committing nothing) and the
     // launch is rerun serially, SM by SM, for exact sequential
-    // semantics -- the same conservative gating as the hostFastPath.
+    // semantics -- the same conservative gating as the Simd engine's
+    // fast paths, which fall back to the per-lane loop when unsure.
     const unsigned ns = smCfg_.numSms;
     const auto t0 = std::chrono::steady_clock::now();
 
-    for (auto &sm : sms_) {
+    for (auto &sm : sms_)
         sm->loadProgram(compiled.code);
-        sm->setProgramKey(support::strprintf(
-            "%s|%016llx", compiled.name.c_str(),
-            static_cast<unsigned long long>(compiled.fingerprint)));
-    }
     if (trace_ != nullptr) {
         // Buffers and scratch must exist before the workers spawn; each
         // worker then only ever touches its own SM's buffer.

@@ -43,10 +43,11 @@ namespace simt
 namespace ckpt
 {
 
-/** Image magic; the trailing version suffix is the format generation. */
+/** Image magic. It stays fixed across format versions, so an image of
+ *  another version is refused by its version field, by number. */
 inline constexpr char kMagic[] = "cheri-simt-ckpt-v1";
 inline constexpr size_t kMagicLen = sizeof(kMagic) - 1;
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 
 /** Section identifiers. */
 enum SectionId : uint32_t

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <mutex>
 
 #include "isa/encoding.hpp"
 
@@ -422,20 +420,11 @@ fuseProgram(DecodedProgram &p)
     }
 }
 
-// Engine-decision cache (process-wide, like the decoded-program cache).
-std::mutex g_decision_mutex;
-std::map<std::string, EngineDecision> &
-decisionMap()
-{
-    static std::map<std::string, EngineDecision> m;
-    return m;
-}
-
 } // namespace
 
 #ifndef CHERI_SIMT_HAVE_AVX2
-// Forced-scalar / non-AVX2 builds: no vectorised handlers exist, so the
-// Simd engine degrades to the scalar handlers (still bit-identical).
+// Forced-scalar / non-AVX2 builds: no vectorised handlers exist, so
+// every op dispatches to its scalar handler (still bit-identical).
 AluLoopFn
 avx2AluHandler(Op)
 {
@@ -450,23 +439,12 @@ avx2MemHandler(Op)
 #endif
 
 bool
-avx2Compiled()
-{
-#ifdef CHERI_SIMT_HAVE_AVX2
-    return true;
-#else
-    return false;
-#endif
-}
-
-bool
 avx2Selected()
 {
     static const bool selected = [] {
-        if (!avx2Compiled() || envForcesScalar())
-            return false;
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("avx2") != 0;
+#if defined(CHERI_SIMT_HAVE_AVX2) &&                                      \
+    (defined(__x86_64__) || defined(__i386__))
+        return !envForcesScalar() && __builtin_cpu_supports("avx2") != 0;
 #else
         return false;
 #endif
@@ -474,33 +452,14 @@ avx2Selected()
     return selected;
 }
 
-const char *
-packedBackendName()
-{
-    return avx2Selected() ? "avx2" : "scalar";
-}
-
 AluLoopFn
-aluLoopHandler(Op op)
-{
-    return scalarTable()[static_cast<size_t>(op)];
-}
-
-bool
-packedAluAccelerated(Op op)
-{
-    return avx2Selected() && packedOpClass(op) &&
-           avx2AluHandler(op) != nullptr;
-}
-
-AluLoopFn
-packedAluHandler(Op op)
+aluHandler(Op op)
 {
     if (avx2Selected()) {
         if (AluLoopFn fn = avx2AluHandler(op))
             return fn;
     }
-    return packedOpClass(op) ? aluLoopHandler(op) : nullptr;
+    return scalarTable()[static_cast<size_t>(op)];
 }
 
 bool
@@ -520,26 +479,15 @@ packedMemHandler(Op op)
     return scalarMemHandler(op);
 }
 
-bool
-packedMemAccelerated(Op op)
-{
-    return avx2Selected() && avx2MemHandler(op) != nullptr;
-}
-
 DecodedProgram
 decodeProgram(const std::vector<uint32_t> &words)
 {
     DecodedProgram p;
     p.instrs.resize(words.size());
     p.aluLoop.resize(words.size(), nullptr);
-    p.packedLoop.resize(words.size(), nullptr);
-    p.packedOk.resize(words.size(), 0);
     for (size_t i = 0; i < words.size(); ++i) {
         p.instrs[i] = isa::decode(words[i]);
-        const Op op = p.instrs[i].op;
-        p.aluLoop[i] = aluLoopHandler(op);
-        p.packedLoop[i] = packedAluHandler(op);
-        p.packedOk[i] = packedAluAccelerated(op) ? 1 : 0;
+        p.aluLoop[i] = aluHandler(p.instrs[i].op);
     }
     fuseProgram(p);
     return p;
@@ -558,30 +506,9 @@ fusionSummary(const DecodedProgram &p)
     return s;
 }
 
-bool
-lookupEngineDecision(const std::string &key, EngineDecision &out)
-{
-    std::lock_guard<std::mutex> lock(g_decision_mutex);
-    const auto &m = decisionMap();
-    const auto it = m.find(key);
-    if (it == m.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-void
-storeEngineDecision(const std::string &key, const EngineDecision &d)
-{
-    std::lock_guard<std::mutex> lock(g_decision_mutex);
-    decisionMap().insert_or_assign(key, d);
-}
-
 void
 clearEngineDecisions()
 {
-    std::lock_guard<std::mutex> lock(g_decision_mutex);
-    decisionMap().clear();
 }
 
 } // namespace engine

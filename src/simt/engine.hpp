@@ -1,26 +1,25 @@
 /**
  * @file
- * Multi-engine execute layer for the host simulator (DESIGN.md
- * section 10): threaded-code dispatch tables over the decoded program,
- * the packed host-SIMD lane ALU, and the process-wide cache of adaptive
- * engine decisions.
+ * Accelerated execute layer for the host simulator (DESIGN.md
+ * section 10): the threaded-code dispatch table over the decoded
+ * program, the packed host-SIMD lane loops and superinstruction fusion.
  *
  * The trap-free vector ALU ops (the set the former Sm::vectorAluLoop
  * switch covered) are executed through per-instruction handler pointers
  * resolved at decode time -- one indirect call per warp-instruction
- * instead of a per-opcode switch. Each op has two handlers:
+ * instead of a per-opcode switch. Each op resolves to one handler:
  *
- *  - a scalar lane loop whose per-lane expressions replicate
- *    Sm::executeAluLane exactly (bit-identical by construction), and
- *  - optionally a packed (AVX2) loop for the integer ALU family, used
- *    by the Simd engine. Packed handlers are restricted to ops whose
+ *  - the packed (AVX2) loop for the integer ALU family when AVX2 is
+ *    selected at runtime. Packed handlers are restricted to ops whose
  *    AVX2 semantics match the scalar expressions bit-for-bit (shifts
  *    mask the count with 31 explicitly; no floating point, whose
- *    rounding environment we refuse to reason about).
+ *    rounding environment we refuse to reason about);
+ *  - otherwise a scalar lane loop whose per-lane expressions replicate
+ *    Sm::executeAluLane exactly (bit-identical by construction).
  *
- * Handler tables are pure functions of the opcode and of process-wide
+ * The table is a pure function of the opcode and of process-wide
  * runtime dispatch (AVX2 cpuid + the CHERI_SIMT_FORCE_SCALAR
- * environment override, both latched on first use), so they are safe to
+ * environment override, both latched on first use), so it is safe to
  * share across Sm instances via the decoded-program cache.
  */
 
@@ -28,7 +27,6 @@
 #define CHERI_SIMT_SIMT_ENGINE_HPP_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "isa/instr.hpp"
@@ -55,40 +53,24 @@ struct AluCtx
 using AluLoopFn = void (*)(const AluCtx &);
 
 /**
- * Scalar handler for @p op, or nullptr when the op needs the
- * trap-capable per-lane path (capability ops, CSRs, control flow, ...).
- * Covers exactly the ops whose only architectural effect is writing
- * result_[lane] for active lanes.
+ * Handler for @p op under the current runtime dispatch: the AVX2 loop
+ * where one exists and AVX2 is selected, else the scalar loop; nullptr
+ * when the op needs the trap-capable per-lane path (capability ops,
+ * CSRs, control flow, ...). Covers exactly the ops whose only
+ * architectural effect is writing result_[lane] for active lanes.
  */
-AluLoopFn aluLoopHandler(isa::Op op);
-
-/**
- * Packed handler for @p op under the current runtime dispatch: the
- * AVX2 loop when available, else the scalar handler for ops that have
- * a packed form (so the Simd engine stays valid -- and bit-identical --
- * on any host), else nullptr.
- */
-AluLoopFn packedAluHandler(isa::Op op);
-
-/** Does @p op have a real (vectorised) packed handler right now? */
-bool packedAluAccelerated(isa::Op op);
+AluLoopFn aluHandler(isa::Op op);
 
 /**
  * AVX2 lane loop for @p op, or nullptr when uncovered. Defined in
  * engine_avx2.cpp (compiled with -mavx2) when CMake detects support,
  * else stubbed to nullptr in engine.cpp. Internal to the engine layer:
- * callers want packedAluHandler, which applies runtime dispatch.
+ * callers want aluHandler, which applies runtime dispatch.
  */
 AluLoopFn avx2AluHandler(isa::Op op);
 
-/** AVX2 handlers compiled into this binary? (CMake-time gate.) */
-bool avx2Compiled();
-
 /** AVX2 selected at runtime (compiled + cpuid + no forced-scalar)? */
 bool avx2Selected();
-
-/** "avx2" or "scalar"; what packed handlers execute as, for reports. */
-const char *packedBackendName();
 
 /**
  * Superinstruction fusion selected at runtime? Fusion is a pure
@@ -135,9 +117,6 @@ using MemLoopFn = void (*)(const MemCtx &);
  */
 MemLoopFn packedMemHandler(isa::Op op);
 
-/** Does @p op have a genuinely vectorised memory handler right now? */
-bool packedMemAccelerated(isa::Op op);
-
 /** AVX2 memory lane loop for @p op (internal; see avx2AluHandler). */
 MemLoopFn avx2MemHandler(isa::Op op);
 
@@ -147,10 +126,9 @@ MemLoopFn avx2MemHandler(isa::Op op);
  * Recognised 2-4 instruction idioms. Fusion is an annotation over the
  * decoded program: execution still retires one instruction per
  * scheduler slot (preserving issue timing, per-slot DRAM ordering and
- * exact trapAddr reporting), but instructions inside a fused block
- * dispatch through specialised handlers -- the packed memory lane
- * loops for member loads/stores, the packed ALU loops for member ALU
- * ops. Jumping into the middle of a block is safe by construction:
+ * exact trapAddr reporting), but loads and stores inside a fused
+ * block dispatch through the packed memory lane loops. Jumping into
+ * the middle of a block is safe by construction:
  * the annotations never change what one instruction does.
  */
 enum class FusedKind : uint8_t
@@ -175,14 +153,9 @@ struct DecodedProgram
 {
     std::vector<isa::Instr> instrs;
 
-    /** Scalar lane-loop handler per instruction (nullptr: per-lane path). */
+    /** Lane-loop handler per instruction, resolved by aluHandler()
+     *  (nullptr: per-lane path). */
     std::vector<AluLoopFn> aluLoop;
-
-    /** Packed-or-scalar handler per instruction (Simd engine). */
-    std::vector<AluLoopFn> packedLoop;
-
-    /** Instruction has a genuinely vectorised packed handler. */
-    std::vector<uint8_t> packedOk;
 
     /** Packed memory handler per instruction; installed only inside
      *  fused blocks (nullptr: reference functional loops). */
@@ -213,24 +186,7 @@ struct FusionSummary
 };
 FusionSummary fusionSummary(const DecodedProgram &p);
 
-// ---- Adaptive engine decisions ----
-//
-// Keyed by kernel identity (the nocl::KernelCache fingerprint when the
-// launch layer provides it, else a hash of the program image) plus the
-// engine-relevant SmConfig fields; see Sm::engineCacheKey(). Guarded by
-// a mutex: multi-SM launches decide from concurrent worker threads.
-
-struct EngineDecision
-{
-    ExecEngine engine = ExecEngine::FastPath;
-    double hitRate = 0.0;     ///< sampled fast-path hit rate
-    double packedShare = 0.0; ///< sampled packed-coverable ALU share
-};
-
-bool lookupEngineDecision(const std::string &key, EngineDecision &out);
-void storeEngineDecision(const std::string &key, const EngineDecision &d);
-
-/** Drop all cached decisions (test seam for determinism checks). */
+/** No-op kept for existing callers; engine choice is no longer cached. */
 void clearEngineDecisions();
 
 } // namespace engine

@@ -31,7 +31,9 @@
  *    atomic whose old value is consumed, an AMOSWAP -- is a *conflict*:
  *    commitEpoch() commits nothing and reports it, and the device falls
  *    back to serial execution for the launch (the same conservative
- *    gating pattern as the SmConfig::hostFastPath scalariser).
+ *    gating pattern as the Simd engine's warp-regularity fast path,
+ *    which falls back to the per-lane loop whenever it cannot prove a
+ *    shortcut exact).
  */
 
 #ifndef CHERI_SIMT_SIMT_MEMSYS_HPP_

@@ -53,13 +53,12 @@ namespace trace
 enum Category : uint32_t
 {
     kCatLaunch = 1u << 0,   ///< launch lifecycle: attempts, retries, degrade
-    kCatEngine = 1u << 1,   ///< engine policy decisions
-    kCatEpoch = 1u << 2,    ///< epoch commits, merge conflicts, fallbacks
-    kCatWatchdog = 1u << 3, ///< watchdog fires and containment retries
-    kCatFault = 1u << 4,    ///< fault-injection strikes
-    kCatTrap = 1u << 5,     ///< traps with forensic context
-    kCatCounter = 1u << 6,  ///< counter samples (hit rate, DRAM traffic)
-    kCatAll = 0x7f,
+    kCatEpoch = 1u << 1,    ///< epoch commits, merge conflicts, fallbacks
+    kCatWatchdog = 1u << 2, ///< watchdog fires and containment retries
+    kCatFault = 1u << 3,    ///< fault-injection strikes
+    kCatTrap = 1u << 4,     ///< traps with forensic context
+    kCatCounter = 1u << 5,  ///< counter samples (hit rate, DRAM traffic)
+    kCatAll = 0x3f,
 };
 
 /** How an event renders in the Chrome trace ("ph" field). */

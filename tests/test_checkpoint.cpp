@@ -6,7 +6,7 @@
  * chunks, checkpointed mid-kernel, restored into a *fresh* device and
  * finished must be bit-identical -- cycles, trap record, verified
  * output, whole-memory content hash -- to the same launch finished
- * uninterrupted, across all three execute engines and 1/2/4 SMs.
+ * uninterrupted, across both execute engines and 1/2/4 SMs.
  * Because stepped launches always run against copy-on-write MemShard
  * overlays, the mid-kernel snapshots here are taken with dirty per-SM
  * overlay pages in flight (the satellite case of the checkpoint issue):
@@ -28,6 +28,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench/faultcampaign.hpp"
 #include "kc/kernel.hpp"
@@ -168,7 +170,6 @@ TEST_P(RestoreParity, MidKernelSnapshotFinishesBitIdentically)
 INSTANTIATE_TEST_SUITE_P(
     EnginesBySms, RestoreParity,
     ::testing::Combine(::testing::Values(ExecEngine::Verbatim,
-                                         ExecEngine::FastPath,
                                          ExecEngine::Simd),
                        ::testing::Values(1u, 2u, 4u)),
     [](const auto &info) {
@@ -200,6 +201,7 @@ TEST(CheckpointRefusal, CorruptMismatchedImagesAreRejectedUntouched)
         EXPECT_FALSE(err.message.empty()) << what;
         EXPECT_EQ(dev.dram().contentHash(), before)
             << what << ": refusal must not touch simulator state";
+        return err.message;
     };
 
     Device fresh(cfg, Mode::Purecap);
@@ -215,6 +217,18 @@ TEST(CheckpointRefusal, CorruptMismatchedImagesAreRejectedUntouched)
     std::vector<uint8_t> bit_flipped = image;
     bit_flipped[image.size() - 5] ^= 0x01;
     expect_refused(fresh, bit_flipped, "", "section CRC mismatch");
+
+    // An image stamped with format version 1 (whose SM sections carried
+    // the adaptive engine-policy block) is refused by number. The
+    // version is the little-endian u32 right after the magic.
+    ASSERT_EQ(simt::ckpt::kVersion, 2u);
+    std::vector<uint8_t> v1_image = image;
+    v1_image[simt::ckpt::kMagicLen] = 1;
+    const std::string v1_error =
+        expect_refused(fresh, v1_image, "", "version 1 image");
+    EXPECT_NE(v1_error.find("unsupported checkpoint version 1"),
+              std::string::npos)
+        << v1_error;
 
     simt::SmConfig other_cfg = cfg;
     other_cfg.numWarps = 8;
@@ -276,7 +290,10 @@ TEST(SteppedLaunch, RestoreBaseRevertsToPreLaunchMemoryExactly)
 
 TEST(CampaignJournal, TruncatedTailIsRecoveredAndResumeIsExact)
 {
-    const std::string path = "test_checkpoint_journal.jsonl";
+    // Per-process name: ctest -j runs this case and the aggregate legs
+    // of the same binary concurrently in one directory.
+    const std::string path = "test_checkpoint_journal." +
+                             std::to_string(::getpid()) + ".jsonl";
     std::remove(path.c_str());
 
     benchcommon::ScaledCampaignOptions opts;

@@ -1,30 +1,30 @@
 /**
  * @file
- * Bit-identity proof for the multi-engine execute layer (DESIGN.md
- * section 10): every benchmark of the suite, under every configuration,
- * is simulated with each engine forced -- the verbatim per-lane loop
- * (the reference), the warp-regularity fast path with threaded scalar
- * dispatch, and the packed host-SIMD engine -- and every architecturally
- * visible outcome must match the verbatim run exactly: cycle count,
- * every modelled perf counter, result buffers (verified output plus
- * whole-memory content hashes), and the first-trap record. Only the
- * "simhost_*" throughput counters, which describe the host simulation
- * itself, are allowed to differ.
+ * Bit-identity proof for the execute layer (DESIGN.md section 10):
+ * every benchmark of the suite, under every configuration, is simulated
+ * on the verbatim per-lane loop (the reference) and on the Simd engine
+ * (warp-regularity fast paths, packed memory lanes and threaded
+ * handler dispatch), and every architecturally visible outcome must
+ * match the verbatim run exactly: cycle count, every modelled perf
+ * counter, result buffers (verified output plus whole-memory content
+ * hashes), and the first-trap record. Only the "simhost_*" throughput
+ * counters, which describe the host simulation itself, are allowed to
+ * differ.
  *
- * The same build runs this matrix with the packed engine on whichever
- * backend CMake selected (AVX2 or portable scalar); the simd-labelled
- * ctest legs additionally force the scalar backend via
- * CHERI_SIMT_FORCE_SCALAR, so both backends are proven against the same
- * reference.
+ * The Simd engine's handler table holds the AVX2 loop where one exists
+ * and the scalar loop otherwise. The same build runs this matrix on
+ * whichever backend CMake and the host selected; the simd-labelled
+ * ctest legs additionally force the scalar table via
+ * CHERI_SIMT_FORCE_SCALAR, so the three ways -- verbatim, AVX2 table,
+ * scalar table -- are proven against the same reference.
  *
  * BlkStencil is the adversarial case (divergent control flow and
  * per-lane capability metadata); dedicated trap tests cover partial-warp
  * faults where only some lanes of a warp go out of bounds, including a
  * fault raised inside a divergent block after handler-dispatched ALU
- * work. A final group proves the adaptive policy (ExecEngine::Auto) is
- * deterministic: repeated runs -- the sampling run that makes the
- * decision and the warm runs that reuse the cached one -- and sharded
- * multi-SM runs all report bit-identical architectural results.
+ * work. A final group proves the default engine is deterministic:
+ * repeated runs and sharded multi-SM runs all report bit-identical
+ * architectural results.
  */
 
 #include <gtest/gtest.h>
@@ -190,32 +190,23 @@ class EngineParity
 {
 };
 
+/** "Three-way": verbatim vs the Simd engine here, and vs its scalar
+ *  table again under the forced-scalar ctest leg (see the file
+ *  comment). */
 TEST_P(EngineParity, ThreeWayBitIdentical)
 {
     const auto &[bench_name, config] = GetParam();
     const Outcome verbatim = runOnce(bench_name, config,
                                      ExecEngine::Verbatim);
-    const Outcome fastpath = runOnce(bench_name, config,
-                                     ExecEngine::FastPath);
     const Outcome simd = runOnce(bench_name, config, ExecEngine::Simd);
 
-    expectSameOutcome(fastpath, verbatim);
     expectSameOutcome(simd, verbatim);
-
-    // Each run must report the engine it was forced to.
-    EXPECT_EQ(verbatim.run.stats.get("simhost_engine"),
-              static_cast<uint64_t>(ExecEngine::Verbatim));
-    EXPECT_EQ(fastpath.run.stats.get("simhost_engine"),
-              static_cast<uint64_t>(ExecEngine::FastPath));
-    EXPECT_EQ(simd.run.stats.get("simhost_engine"),
-              static_cast<uint64_t>(ExecEngine::Simd));
 
     // The fast paths must actually engage somewhere (any kernel retires
     // at least some fully converged instructions), otherwise this test
     // only proves "off == off".
     EXPECT_GT(verbatim.run.stats.get("simhost_instrs"), 0u);
     EXPECT_EQ(verbatim.run.stats.get("simhost_fastpath_instrs"), 0u);
-    EXPECT_GT(fastpath.run.stats.get("simhost_fastpath_instrs"), 0u);
     EXPECT_GT(simd.run.stats.get("simhost_fastpath_instrs"), 0u);
 }
 
@@ -328,15 +319,12 @@ expectTrapParity(EmitFn emit_program, unsigned expect_lane)
     EXPECT_EQ(ref.warp, 0u);
     EXPECT_EQ(ref.lane, expect_lane);
 
-    for (ExecEngine sel : {ExecEngine::FastPath, ExecEngine::Simd}) {
-        SCOPED_TRACE(simt::execEngineName(sel));
-        simt::Sm sm(trapConfig(sel));
-        const simt::TrapInfo got = runTrapProgram(sm, emit_program);
-        expectSameTrap(got, ref);
-        EXPECT_EQ(sm.cycles(), verbatim.cycles());
-        EXPECT_EQ(sm.dram().contentHash(), verbatim.dram().contentHash());
-        expectSameStats(sm.stats(), verbatim.stats());
-    }
+    simt::Sm sm(trapConfig(ExecEngine::Simd));
+    const simt::TrapInfo got = runTrapProgram(sm, emit_program);
+    expectSameTrap(got, ref);
+    EXPECT_EQ(sm.cycles(), verbatim.cycles());
+    EXPECT_EQ(sm.dram().contentHash(), verbatim.dram().contentHash());
+    expectSameStats(sm.stats(), verbatim.stats());
 }
 
 TEST(EngineTrapParity, PartialWarpLoadFault)
@@ -359,23 +347,18 @@ TEST(EngineTrapParity, MidBlockDivergentFault)
                      /*expect_lane=*/5);
 }
 
-// ---- Adaptive policy ----
+// ---- Default-engine determinism ----
 //
-// ExecEngine::Auto samples the first launch and caches a per-kernel
-// decision. The cache must never make the simulation non-deterministic:
-// the sampling launch, the warm launches that reuse the decision, and
-// sharded multi-SM launches must all report bit-identical architectural
-// results. VecAdd (uniform) must settle on an accelerated engine; SPMV
-// (irregular, the kernel whose regression motivated the policy) must
-// fall back to verbatim.
+// A device built with the default SmConfig (the Simd engine) must
+// report bit-identical architectural results on every repeat, at 1, 2
+// and 4 SMs. (The suite name predates the single accelerated engine.)
 
 nocl::RunResult
-runAdaptive(const std::string &bench_name, unsigned sms, bool &verified)
+runDefault(const std::string &bench_name, unsigned sms, bool &verified)
 {
     auto bench = kernels::makeBenchmark(bench_name);
     EXPECT_NE(bench, nullptr);
     simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
-    cfg.engineSel = ExecEngine::Auto;
     cfg.numSms = sms;
     nocl::Device dev(cfg, Mode::Purecap);
     Prepared p = bench->prepare(dev, Size::Small);
@@ -388,71 +371,31 @@ TEST(AdaptiveEngine, DeterministicAcrossRepeatsAndSmCounts)
 {
     for (const char *bench : {"VecAdd", "SPMV", "BlkStencil"}) {
         SCOPED_TRACE(bench);
-        simt::engine::clearEngineDecisions();
-
         for (unsigned sms : {1u, 2u, 4u}) {
             SCOPED_TRACE(sms);
-            // The first launch at each SM count is the sampling launch
-            // that makes (and caches) the decision; later launches
-            // reuse it. Every repeat must be bit-identical to the
-            // first. (Cross-SM-count *result* parity is test_multisim's
-            // contract; per-SM scheduling counters legitimately differ
-            // between SM counts, so repeats are compared within one.)
+            // Every repeat must be bit-identical to the first, simhost_*
+            // counters included. (Cross-SM-count *result* parity is
+            // test_multisim's contract; per-SM scheduling counters
+            // legitimately differ between SM counts, so repeats are
+            // compared within one.)
             bool ref_verified = false;
             const nocl::RunResult ref =
-                runAdaptive(bench, sms, ref_verified);
+                runDefault(bench, sms, ref_verified);
             ASSERT_TRUE(ref.completed);
             EXPECT_TRUE(ref_verified);
 
             for (int rep = 0; rep < 2; ++rep) {
                 bool verified = false;
                 const nocl::RunResult res =
-                    runAdaptive(bench, sms, verified);
+                    runDefault(bench, sms, verified);
                 EXPECT_EQ(res.completed, ref.completed);
                 EXPECT_EQ(res.trapped, ref.trapped);
                 EXPECT_EQ(res.cycles, ref.cycles);
                 EXPECT_EQ(verified, ref_verified);
-                expectSameStats(res.stats, ref.stats);
+                EXPECT_EQ(res.stats.all(), ref.stats.all());
             }
         }
     }
-}
-
-TEST(AdaptiveEngine, PolicyPicksExpectedEngines)
-{
-    simt::engine::clearEngineDecisions();
-
-    // VecAdd's warp-steps are overwhelmingly regular: the policy must
-    // keep an accelerated engine (fast path, or SIMD where the packed
-    // share clears the bar).
-    bool verified = false;
-    const nocl::RunResult vecadd = runAdaptive("VecAdd", 1, verified);
-    ASSERT_TRUE(vecadd.completed);
-    EXPECT_TRUE(verified);
-    const uint64_t vecadd_engine = vecadd.stats.get("simhost_engine");
-    EXPECT_TRUE(vecadd_engine ==
-                    static_cast<uint64_t>(ExecEngine::FastPath) ||
-                vecadd_engine == static_cast<uint64_t>(ExecEngine::Simd))
-        << "VecAdd decided engine " << vecadd_engine;
-
-    // SPMV's gather is irregular, but with fused dispatch the
-    // classification overhead is covered at far lower regularity: its
-    // hit rate clears the (now lower) engineMinHitRate guard and its
-    // packed-coverable share promotes it off the verbatim engine. The
-    // old regression-avoidance contract survives as bench_simspeed's
-    // per-bench adaptive >= 1.0x floor.
-    const nocl::RunResult spmv = runAdaptive("SPMV", 1, verified);
-    ASSERT_TRUE(spmv.completed);
-    EXPECT_TRUE(verified);
-    const uint64_t spmv_engine = spmv.stats.get("simhost_engine");
-    EXPECT_TRUE(spmv_engine !=
-                static_cast<uint64_t>(ExecEngine::Verbatim))
-        << "SPMV decided engine " << spmv_engine;
-
-    // A warm launch reuses the cached decision.
-    const nocl::RunResult warm = runAdaptive("SPMV", 1, verified);
-    EXPECT_EQ(warm.stats.get("simhost_engine"), spmv_engine);
-    EXPECT_EQ(warm.cycles, spmv.cycles);
 }
 
 } // namespace

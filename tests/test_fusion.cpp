@@ -82,7 +82,7 @@ TEST(FusionCache, AnnotationsAreDeterministicAcrossDecodes)
     EXPECT_EQ(p1.fusedKind, p2.fusedKind);
     EXPECT_EQ(p1.fusedLen, p2.fusedLen);
     EXPECT_EQ(p1.memLoop, p2.memLoop);
-    EXPECT_EQ(p1.packedOk, p2.packedOk);
+    EXPECT_EQ(p1.aluLoop, p2.aluLoop);
 
     const simt::engine::FusionSummary s1 =
         simt::engine::fusionSummary(p1);
@@ -100,13 +100,13 @@ TEST(FusionCache, ForceScalarDisablesFusion)
 
     if (forcedScalar()) {
         // The env leg: no blocks form and no packed memory handler is
-        // installed anywhere, so the Simd engine degrades to the exact
+        // installed anywhere, so the Simd engine runs the exact
         // unfused dispatch.
         EXPECT_EQ(s.blocks, 0u);
         EXPECT_EQ(s.fusedInstrs, 0u);
         for (size_t i = 0; i < p.size(); ++i) {
-            EXPECT_EQ(p.fusedId[i], 0u) << "instr " << i;
-            EXPECT_EQ(p.memLoop[i], nullptr) << "instr " << i;
+            EXPECT_EQ(p.fusedId[i], 0u) << "instr #" << i;
+            EXPECT_EQ(p.memLoop[i], nullptr) << "instr #" << i;
         }
     } else {
         // The known idioms must fuse: the CINCOFFSET+LW+ADDI head run
@@ -253,26 +253,23 @@ TEST_P(PackedMemBoundary, TrapParityAcrossEngines)
 {
     const MemCase &mc = GetParam();
     const MemOutcome verbatim = runMemCase(mc, ExecEngine::Verbatim);
-    const MemOutcome fastpath = runMemCase(mc, ExecEngine::FastPath);
     const MemOutcome simd = runMemCase(mc, ExecEngine::Simd);
 
     EXPECT_EQ(verbatim.trapped, mc.expect != simt::TrapKind::None);
     if (verbatim.trapped)
         EXPECT_EQ(verbatim.trap.kind, mc.expect);
 
-    for (const MemOutcome *got : {&fastpath, &simd}) {
-        EXPECT_EQ(got->ok, verbatim.ok);
-        EXPECT_EQ(got->trapped, verbatim.trapped);
-        EXPECT_EQ(got->trap.trapped, verbatim.trap.trapped);
-        EXPECT_EQ(got->trap.warp, verbatim.trap.warp);
-        EXPECT_EQ(got->trap.lane, verbatim.trap.lane);
-        EXPECT_EQ(got->trap.pc, verbatim.trap.pc);
-        EXPECT_EQ(got->trap.addr, verbatim.trap.addr);
-        EXPECT_EQ(got->trap.kind, verbatim.trap.kind);
-        EXPECT_EQ(got->cycles, verbatim.cycles);
-        EXPECT_EQ(got->dramHash, verbatim.dramHash);
-        EXPECT_EQ(got->stats, verbatim.stats);
-    }
+    EXPECT_EQ(simd.ok, verbatim.ok);
+    EXPECT_EQ(simd.trapped, verbatim.trapped);
+    EXPECT_EQ(simd.trap.trapped, verbatim.trap.trapped);
+    EXPECT_EQ(simd.trap.warp, verbatim.trap.warp);
+    EXPECT_EQ(simd.trap.lane, verbatim.trap.lane);
+    EXPECT_EQ(simd.trap.pc, verbatim.trap.pc);
+    EXPECT_EQ(simd.trap.addr, verbatim.trap.addr);
+    EXPECT_EQ(simd.trap.kind, verbatim.trap.kind);
+    EXPECT_EQ(simd.cycles, verbatim.cycles);
+    EXPECT_EQ(simd.dramHash, verbatim.dramHash);
+    EXPECT_EQ(simd.stats, verbatim.stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(Boundaries, PackedMemBoundary,
@@ -318,8 +315,7 @@ TEST(PackedMemBoundaryMultiSm, EdgeShiftParityAcrossEnginesAndSms)
         bool have_ref = false;
         for (const unsigned sms : {1u, 2u, 4u}) {
             for (const ExecEngine eng :
-                 {ExecEngine::Verbatim, ExecEngine::FastPath,
-                  ExecEngine::Simd}) {
+                 {ExecEngine::Verbatim, ExecEngine::Simd}) {
                 simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
                 cfg.numSms = sms;
                 cfg.engineSel = eng;
@@ -342,7 +338,7 @@ TEST(PackedMemBoundaryMultiSm, EdgeShiftParityAcrossEnginesAndSms)
                 const std::vector<uint32_t> got = dev.read32(out);
 
                 const std::string key = std::string("off ") +
-                                        std::to_string(off) + " sms " +
+                                        std::to_string(off) + ", sms " +
                                         std::to_string(sms);
                 if (off == 0) {
                     EXPECT_TRUE(res.completed) << key;

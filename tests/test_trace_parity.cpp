@@ -3,11 +3,9 @@
  * No-perturbation proof for the trace/profile layer (DESIGN.md section
  * 11): attaching a trace session -- all categories enabled, profiling
  * on -- must leave every architecturally visible outcome bit-identical
- * to the untraced run. The matrix covers all three forced engines and
- * 1/2/4 SMs, a faulting kernel (so the trap-forensics path is in the
- * loop), fault injection, and a steady-state re-sampling run whose
- * engine flips must stay invisible while every promote/demote decision
- * lands in the trace. A final group proves the exported Chrome
+ * to the untraced run. The matrix covers both engines and 1/2/4 SMs, a
+ * faulting kernel (so the trap-forensics path is in the loop) and fault
+ * injection. A final group proves the exported Chrome
  * trace itself is deterministic: two identical traced runs produce
  * byte-identical JSON documents.
  */
@@ -20,7 +18,6 @@
 #include "kc/asm.hpp"
 #include "kernels/suite.hpp"
 #include "nocl/nocl.hpp"
-#include "simt/engine.hpp"
 #include "simt/sm.hpp"
 #include "support/trace.hpp"
 
@@ -37,8 +34,8 @@ using support::trace::SessionConfig;
 using Mode = kc::CompileOptions::Mode;
 
 /** Everything architecturally observable about one benchmark run.
- *  Includes the simhost_* counters: with a forced engine they are
- *  deterministic too, so tracing must not move even those. */
+ *  Includes the simhost_* counters: they are deterministic too, so
+ *  tracing must not move even those. */
 struct Outcome
 {
     bool completed = false;
@@ -111,8 +108,7 @@ TEST(TraceParity, TracedRunsAreBitIdentical)
 {
     for (const char *bench : {"VecAdd", "BlkStencil"}) {
         SCOPED_TRACE(bench);
-        for (ExecEngine sel : {ExecEngine::Verbatim, ExecEngine::FastPath,
-                               ExecEngine::Simd}) {
+        for (ExecEngine sel : {ExecEngine::Verbatim, ExecEngine::Simd}) {
             SCOPED_TRACE(simt::execEngineName(sel));
             for (unsigned sms : {1u, 2u, 4u}) {
                 SCOPED_TRACE(sms);
@@ -184,8 +180,7 @@ runTrapProgram(simt::Sm &sm)
 
 TEST(TraceParity, TrapForensicsDoNotPerturb)
 {
-    for (ExecEngine sel : {ExecEngine::Verbatim, ExecEngine::FastPath,
-                           ExecEngine::Simd}) {
+    for (ExecEngine sel : {ExecEngine::Verbatim, ExecEngine::Simd}) {
         SCOPED_TRACE(simt::execEngineName(sel));
         simt::Sm plain(trapConfig(sel));
         const simt::TrapInfo ref = runTrapProgram(plain);
@@ -250,75 +245,14 @@ TEST(TraceParity, FaultStrikesDoNotPerturb)
     EXPECT_GT(session.eventCount(), 0u);
 }
 
-// ---- Steady-state re-sampling under trace ----
-//
-// An Auto-engine run with a tiny re-sample interval flips engines
-// mid-kernel through periodic probe windows. The flips must stay
-// architecturally invisible -- the traced run commits the identical
-// cycles, memory image, stats (including the simhost_* counters: with
-// the decision cache cleared both legs start cold, so even the probe
-// schedule is deterministic) -- and every promote/demote decision must
-// appear in the exported trace as a "resample:" instant event.
-
-Outcome
-runResampled(Session *session)
-{
-    simt::engine::clearEngineDecisions();
-    auto bench = kernels::makeBenchmark("VecAdd");
-    EXPECT_NE(bench, nullptr);
-    simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
-    cfg.engineSel = ExecEngine::Auto;
-    cfg.engineSampleWindow = 64;
-    cfg.engineResampleInterval = 256;
-    cfg.engineProbeWindow = 64;
-    cfg.numWarps = 16;
-    cfg.vrfCapacity = 16 * 32 * 3 / 8;
-    nocl::Device dev(cfg, Mode::Purecap);
-    if (session != nullptr) {
-        session->beginTrack("VecAdd/resample");
-        dev.attachTraceSession(session);
-    }
-    Prepared p = bench->prepare(dev, Size::Small);
-
-    Outcome o;
-    const nocl::RunResult run = dev.launch(*p.kernel, p.cfg, p.args);
-    o.completed = run.completed;
-    o.trapped = run.trapped;
-    o.verified = p.verify(dev);
-    o.cycles = run.cycles;
-    for (const auto &[name, value] : run.stats.all())
-        o.stats.emplace(name, value);
-    o.dramHash = dev.dram().contentHash();
-    o.trap = run.trapInfo;
-    return o;
-}
-
-TEST(TraceParity, ResamplingRunsAreBitIdentical)
-{
-    const Outcome plain = runResampled(nullptr);
-    EXPECT_TRUE(plain.completed);
-    ASSERT_NE(plain.stats.count("simhost_resample_count"), 0u);
-    EXPECT_GT(plain.stats.at("simhost_resample_count"), 0u);
-
-    Session session = makeSession();
-    const Outcome traced = runResampled(&session);
-    expectSameOutcome(traced, plain);
-
-    EXPECT_GT(session.eventCount(), 0u);
-    EXPECT_EQ(session.droppedEvents(), 0u);
-    const std::string json =
-        session.chromeTrace("test_trace_parity").dump(2);
-    EXPECT_NE(json.find("resample: "), std::string::npos);
-}
-
 // ---- Deterministic export ----
 
 TEST(TraceParity, RepeatedExportIsByteIdentical)
 {
     auto traceOnce = [] {
         Session session = makeSession();
-        runBench("VecAdd", ExecEngine::FastPath, 2, &session);
-        runBench("BlkStencil", ExecEngine::FastPath, 2, &session);
+        runBench("VecAdd", ExecEngine::Simd, 2, &session);
+        runBench("BlkStencil", ExecEngine::Simd, 2, &session);
         return session.chromeTrace("test_trace_parity").dump(2);
     };
     const std::string a = traceOnce();

@@ -4,7 +4,7 @@
  * reported at the exact faulting byte address, for accesses one byte
  * below the base, at the top, one past the top, through a misaligned
  * view, and for a word access that straddles the upper bound. Every
- * case runs with the host fast path on and off (the per-lane fallback
+ * case runs on the Simd and Verbatim engines (the per-lane reference
  * must be bit-identical) and on 1, 2 and 4 SMs.
  */
 
@@ -74,11 +74,11 @@ struct ProbeRun
  * host handing out an interior slice.
  */
 ProbeRun
-runProbe(kc::KernelDef &k, int idx, bool fast_path, unsigned sms,
+runProbe(kc::KernelDef &k, int idx, simt::ExecEngine engine, unsigned sms,
          uint32_t view_off = 0, uint32_t view_bytes = kSrcBytes)
 {
     simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
-    cfg.hostFastPath = fast_path;
+    cfg.engineSel = engine;
     cfg.numSms = sms;
     Device dev(cfg, Mode::Purecap);
 
@@ -101,16 +101,17 @@ runProbe(kc::KernelDef &k, int idx, bool fast_path, unsigned sms,
     return pr;
 }
 
-/** The (fast path) x (SM count) sweep every precision case runs over. */
+/** The (engine) x (SM count) sweep every precision case runs over. */
 template <typename Fn>
 void
 forEachGeometry(Fn &&fn)
 {
-    for (const bool fast : {true, false}) {
+    for (const simt::ExecEngine engine :
+         {simt::ExecEngine::Simd, simt::ExecEngine::Verbatim}) {
         for (const unsigned sms : {1u, 2u, 4u}) {
-            SCOPED_TRACE((fast ? "fast path, " : "per-lane fallback, ") +
+            SCOPED_TRACE(std::string(simt::execEngineName(engine)) + ", " +
                          std::to_string(sms) + " SMs");
-            fn(fast, sms);
+            fn(engine, sms);
         }
     }
 }
@@ -126,9 +127,9 @@ expectTrapAt(const ProbeRun &pr, simt::TrapKind kind, uint32_t addr)
 TEST(TrapPrecision, InBoundsEdgesDoNotTrap)
 {
     ByteProbe k;
-    forEachGeometry([&](bool fast, unsigned sms) {
+    forEachGeometry([&](simt::ExecEngine engine, unsigned sms) {
         for (const int idx : {0, static_cast<int>(kSrcBytes) - 1}) {
-            const ProbeRun pr = runProbe(k, idx, fast, sms);
+            const ProbeRun pr = runProbe(k, idx, engine, sms);
             EXPECT_TRUE(pr.run.completed);
             EXPECT_FALSE(pr.run.trapped)
                 << "idx " << idx << ": "
@@ -142,8 +143,8 @@ TEST(TrapPrecision, InBoundsEdgesDoNotTrap)
 TEST(TrapPrecision, ByteBelowBaseTrapsAtBaseMinusOne)
 {
     ByteProbe k;
-    forEachGeometry([&](bool fast, unsigned sms) {
-        const ProbeRun pr = runProbe(k, -1, fast, sms);
+    forEachGeometry([&](simt::ExecEngine engine, unsigned sms) {
+        const ProbeRun pr = runProbe(k, -1, engine, sms);
         expectTrapAt(pr, simt::TrapKind::BoundsViolation,
                      pr.src.addr - 1);
     });
@@ -152,8 +153,8 @@ TEST(TrapPrecision, ByteBelowBaseTrapsAtBaseMinusOne)
 TEST(TrapPrecision, ByteAtTopTrapsAtTop)
 {
     ByteProbe k;
-    forEachGeometry([&](bool fast, unsigned sms) {
-        const ProbeRun pr = runProbe(k, kSrcBytes, fast, sms);
+    forEachGeometry([&](simt::ExecEngine engine, unsigned sms) {
+        const ProbeRun pr = runProbe(k, kSrcBytes, engine, sms);
         expectTrapAt(pr, simt::TrapKind::BoundsViolation,
                      pr.src.addr + kSrcBytes);
     });
@@ -162,8 +163,8 @@ TEST(TrapPrecision, ByteAtTopTrapsAtTop)
 TEST(TrapPrecision, BytePastTopTrapsAtExactByte)
 {
     ByteProbe k;
-    forEachGeometry([&](bool fast, unsigned sms) {
-        const ProbeRun pr = runProbe(k, kSrcBytes + 1, fast, sms);
+    forEachGeometry([&](simt::ExecEngine engine, unsigned sms) {
+        const ProbeRun pr = runProbe(k, kSrcBytes + 1, engine, sms);
         expectTrapAt(pr, simt::TrapKind::BoundsViolation,
                      pr.src.addr + kSrcBytes + 1);
     });
@@ -173,8 +174,8 @@ TEST(TrapPrecision, MisalignedViewTrapsAtAccessAddress)
 {
     // A 32-bit load through a +2 sub-buffer view: in bounds, misaligned.
     WordProbe k;
-    forEachGeometry([&](bool fast, unsigned sms) {
-        const ProbeRun pr = runProbe(k, 0, fast, sms, 2, 8);
+    forEachGeometry([&](simt::ExecEngine engine, unsigned sms) {
+        const ProbeRun pr = runProbe(k, 0, engine, sms, 2, 8);
         expectTrapAt(pr, simt::TrapKind::MisalignedAccess,
                      pr.src.addr + 2);
     });
@@ -185,8 +186,8 @@ TEST(TrapPrecision, WordStraddlingTopTrapsAtItsFirstByte)
     // A 62-byte view: word 15 occupies bytes [60, 64) and straddles the
     // upper bound; the trap reports the access address, not the top.
     WordProbe k;
-    forEachGeometry([&](bool fast, unsigned sms) {
-        const ProbeRun pr = runProbe(k, 15, fast, sms, 0, 62);
+    forEachGeometry([&](simt::ExecEngine engine, unsigned sms) {
+        const ProbeRun pr = runProbe(k, 15, engine, sms, 0, 62);
         expectTrapAt(pr, simt::TrapKind::BoundsViolation,
                      pr.src.addr + 60);
     });
