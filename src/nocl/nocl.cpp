@@ -740,8 +740,9 @@ SteppedLaunch::restoreBase()
     for (const auto &[page, up] : undo_) {
         const uint32_t base =
             simt::kDramBase + page * simt::MemShard::kPageBytes;
-        std::memcpy(dev_.dram().rawData(base), up.data.data(),
-                    simt::MemShard::kPageBytes);
+        std::memcpy(
+            dev_.dram().writableSpan(base, simt::MemShard::kPageBytes),
+            up.data.data(), simt::MemShard::kPageBytes);
         for (uint32_t wi = 0; wi < simt::MemShard::kPageWords; ++wi)
             dev_.dram().setWordTag(base + wi * 4, up.tags[wi] != 0);
     }
@@ -779,8 +780,9 @@ Device::launchWithPolicy(
     // so a retry after a partial attempt would otherwise start from
     // whatever the failed attempt wrote there -- state silently
     // different from the first attempt's, and from what a replay of the
-    // same fault site observes. MainMemory is a plain value type, so
-    // that part is a straight copy.
+    // same fault site observes. MainMemory is a plain value type whose
+    // copy and assignment visit only written pages, so that part is a
+    // straight copy costing what the launch has written.
     const simt::MainMemory snapshot = dram();
     support::ByteWriter spad_snapshot;
     for (auto &sm : sms_)

@@ -15,6 +15,8 @@
 #include "simt/checkpoint.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "simt/faultinject.hpp"
 #include "simt/mem.hpp"
@@ -323,49 +325,33 @@ readImage(const std::vector<uint8_t> &image, std::vector<Section> &out)
 // MainMemory (sparse by 4 KiB page)
 // ---------------------------------------------------------------------
 
-namespace
-{
-constexpr uint32_t kMemPageBytes = 4096;
-constexpr uint32_t kMemPageWords = kMemPageBytes / 4;
-} // namespace
-
 void
 MainMemory::saveState(ByteWriter &w) const
 {
-    static const uint8_t zero_page[kMemPageBytes] = {};
-    const uint32_t num_pages =
-        static_cast<uint32_t>(data_.size()) / kMemPageBytes;
+    static const uint8_t zero_page[kPageBytes] = {};
 
-    // First pass: count non-trivial pages (all-zero, tag-free pages are
-    // implied by the loader's reset).
+    // First pass: list the non-trivial pages among the written ones
+    // (all-zero, tag-free pages are implied by the loader's reset, and
+    // unwritten pages are all-zero and tag-free by construction).
     std::vector<uint32_t> live;
-    for (uint32_t p = 0; p < num_pages; ++p) {
-        const uint8_t *base = data_.data() + p * kMemPageBytes;
-        bool interesting =
-            std::memcmp(base, zero_page, kMemPageBytes) != 0;
-        if (!interesting) {
-            const size_t w0 = static_cast<size_t>(p) * kMemPageWords;
-            for (uint32_t i = 0; i < kMemPageWords && !interesting; ++i)
-                interesting = tags_[w0 + i];
-        }
+    for (uint32_t p = 0; p < kNumPages; ++p) {
+        if (!isWritten(p))
+            continue;
+        bool interesting = std::memcmp(data_ + size_t{p} * kPageBytes,
+                                       zero_page, kPageBytes) != 0;
+        for (uint32_t g = 0; g < kPageTagWords && !interesting; ++g)
+            interesting = tags_[size_t{p} * kPageTagWords + g] != 0;
         if (interesting)
             live.push_back(p);
     }
 
-    w.u32(num_pages);
+    w.u32(kNumPages);
     w.u32(static_cast<uint32_t>(live.size()));
     for (uint32_t p : live) {
         w.u32(p);
-        w.bytes(data_.data() + p * kMemPageBytes, kMemPageBytes);
-        const size_t w0 = static_cast<size_t>(p) * kMemPageWords;
-        for (uint32_t g = 0; g < kMemPageWords / 64; ++g) {
-            uint64_t bits = 0;
-            for (uint32_t i = 0; i < 64; ++i) {
-                if (tags_[w0 + g * 64 + i])
-                    bits |= uint64_t{1} << i;
-            }
-            w.u64(bits);
-        }
+        w.bytes(data_ + size_t{p} * kPageBytes, kPageBytes);
+        for (uint32_t g = 0; g < kPageTagWords; ++g)
+            w.u64(tags_[size_t{p} * kPageTagWords + g]);
     }
 }
 
@@ -373,12 +359,16 @@ bool
 MainMemory::loadState(ByteReader &r)
 {
     const uint32_t num_pages = r.u32();
-    if (num_pages != data_.size() / kMemPageBytes) {
+    if (num_pages != kNumPages) {
         r.failWith("main-memory geometry mismatch");
         return false;
     }
-    std::fill(data_.begin(), data_.end(), 0);
-    std::fill(tags_.begin(), tags_.end(), false);
+    // Only written pages can be non-zero.
+    for (size_t wi = 0; wi < kWrittenWords; ++wi) {
+        for (uint64_t bits = written_[wi]; bits != 0; bits &= bits - 1)
+            zeroPage(wi * 64 + std::countr_zero(bits));
+        written_[wi] = 0;
+    }
     const uint32_t live = r.u32();
     for (uint32_t k = 0; k < live; ++k) {
         const uint32_t p = r.u32();
@@ -386,19 +376,11 @@ MainMemory::loadState(ByteReader &r)
             r.failWith("main-memory page index out of range");
             return false;
         }
-        if (!r.bytes(data_.data() + static_cast<size_t>(p) * kMemPageBytes,
-                     kMemPageBytes))
+        markWritten(p);
+        if (!r.bytes(data_ + size_t{p} * kPageBytes, kPageBytes))
             return false;
-        const size_t w0 = static_cast<size_t>(p) * kMemPageWords;
-        for (uint32_t g = 0; g < kMemPageWords / 64; ++g) {
-            const uint64_t bits = r.u64();
-            if (bits == 0)
-                continue;
-            for (uint32_t i = 0; i < 64; ++i) {
-                if ((bits >> i) & 1)
-                    tags_[w0 + g * 64 + i] = true;
-            }
-        }
+        for (uint32_t g = 0; g < kPageTagWords; ++g)
+            tags_[size_t{p} * kPageTagWords + g] |= r.u64();
     }
     return !r.failed();
 }

@@ -13,6 +13,8 @@
 #ifndef CHERI_SIMT_SIMT_MEM_HPP_
 #define CHERI_SIMT_SIMT_MEM_HPP_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,11 +35,28 @@ namespace simt
  * Functional main-memory storage: kDramSize bytes of data plus one tag bit
  * per aligned 32-bit word. Addresses are absolute (kDramBase-relative
  * translation happens internally).
+ *
+ * The store is demand-zero and page-tracked. Data and tag bits live in
+ * one anonymous mapping that the OS zero-fills on first touch, so an
+ * untouched memory costs neither construction time nor resident pages.
+ * A written-page bitmap (one bit per 4 KiB page) is a conservative
+ * superset of the pages that hold a non-zero byte or a set tag: every
+ * mutator marks the pages it may change, and nothing but loadState and
+ * assignment ever clears a mark (after zeroing the page). Every
+ * whole-memory operation -- copy, assignment, checkpoint save/load and
+ * the hashes -- visits only written pages and treats the rest as zero.
  */
 class MainMemory
 {
   public:
+    static constexpr uint32_t kPageBytes = 4096;
+    static constexpr uint32_t kPageWords = kPageBytes / 4;
+    static constexpr uint32_t kNumPages = kDramSize / kPageBytes;
+
     MainMemory();
+    ~MainMemory();
+    MainMemory(const MainMemory &other);
+    MainMemory &operator=(const MainMemory &other);
 
     static bool
     contains(uint32_t addr)
@@ -73,10 +92,16 @@ class MainMemory
      * array, so multi-byte host loads/stores through this pointer are
      * bit-identical to the load8/16/32 byte-assembly accessors -- the
      * equivalence the packed memory engine relies on (DESIGN.md
-     * section 12). Tag maintenance stays with the caller.
+     * section 12).
      */
     const uint8_t *rawData(uint32_t addr) const;
-    uint8_t *rawData(uint32_t addr);
+
+    /**
+     * Writable raw pointer to @p addr for a host write confined to
+     * [addr, addr+bytes): bounds-checks the whole span and marks its
+     * pages written. Tag maintenance stays with the caller.
+     */
+    uint8_t *writableSpan(uint32_t addr, uint32_t bytes);
 
     /**
      * Clear every word tag covering [addr, addr+bytes) in one sweep --
@@ -103,16 +128,43 @@ class MainMemory
      *  (seeds MemShard overlay pages; see simt/memsys.hpp). */
     void copyOut(uint32_t addr, uint8_t *out, uint32_t bytes) const;
 
+    /** Pages currently marked written (a superset of the non-zero or
+     *  tagged pages; 0 for a memory nothing has stored to). */
+    size_t writtenPages() const;
+
     /** Checkpoint serialization: sparse by 4 KiB page (all-zero,
      *  tag-free pages are skipped). Defined in simt/checkpoint.cpp. */
     void saveState(support::ByteWriter &w) const;
     bool loadState(support::ByteReader &r);
 
   private:
+    static constexpr size_t kTagWords = kDramSize / 4 / 64;
+    static constexpr size_t kPageTagWords = kPageWords / 64;
+    static constexpr size_t kMapBytes = kDramSize + kTagWords * 8;
+    static constexpr size_t kWrittenWords = kNumPages / 64;
+
     size_t index(uint32_t addr) const;
 
-    std::vector<uint8_t> data_;
-    std::vector<bool> tags_; // one per 32-bit word
+    bool
+    isWritten(size_t page) const
+    {
+        return (written_[page / 64] >> (page % 64)) & 1;
+    }
+    void
+    markWritten(size_t page)
+    {
+        written_[page / 64] |= uint64_t{1} << (page % 64);
+    }
+    /** Mark every page overlapping byte offsets [first, last]. */
+    void markByteRange(size_t first, size_t last);
+    /** Zero @p page's data and tag bits (the mark is left alone). */
+    void zeroPage(size_t page);
+    /** Copy @p page's data and tag bits from @p other. */
+    void copyPage(const MainMemory &other, size_t page);
+
+    uint8_t *data_ = nullptr;  // kDramSize bytes, demand-zero
+    uint64_t *tags_ = nullptr; // one bit per 32-bit word, same mapping
+    std::array<uint64_t, kWrittenWords> written_{};
 };
 
 /**

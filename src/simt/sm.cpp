@@ -1568,8 +1568,11 @@ Sm::executeWarp(unsigned wid)
                             storeValue(n_min, log_width, rs2d.at(lane));
                         }
                     } else if (mfn != nullptr) {
+                        // Every lane writes inside [n_min, n_max+bytes).
+                        uint8_t *span = dram_.writableSpan(
+                            n_min, n_max - n_min + bytes);
                         const engine::MemCtx mc{
-                            dram_.rawData(kDramBase), active_.data(),
+                            span - (n_min - kDramBase), active_.data(),
                             result_.data(), &rs2d, a0 - kDramBase,
                             static_cast<int32_t>(rs1d.stride),
                             cfg_.numLanes};
@@ -1647,8 +1650,10 @@ Sm::executeWarp(unsigned wid)
                         res_stride = 0;
                     }
                 } else if (mfn != nullptr) {
+                    // A load handler only reads through MemCtx::ram.
                     const engine::MemCtx mc{
-                        dram_.rawData(kDramBase), active_.data(),
+                        const_cast<uint8_t *>(dram_.rawData(kDramBase)),
+                        active_.data(),
                         result_.data(), &rs2d, a0 - kDramBase,
                         static_cast<int32_t>(rs1d.stride),
                         cfg_.numLanes};
