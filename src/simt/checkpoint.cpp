@@ -78,23 +78,33 @@ getCapPipe(ByteReader &r)
     return c;
 }
 
+// A lane set is stored as its lane count plus one 0/1 byte per lane.
 void
-putLaneMask(ByteWriter &w, const LaneMask &m)
+putLaneSet(ByteWriter &w, LaneSet m, unsigned lanes)
 {
-    w.u32(static_cast<uint32_t>(m.size()));
-    w.bytes(m.data(), m.size());
+    w.u32(lanes);
+    for (unsigned lane = 0; lane < lanes; ++lane)
+        w.u8(hasLane(m, lane) ? 1 : 0);
 }
 
 bool
-getLaneMask(ByteReader &r, LaneMask &m, size_t expect)
+getLaneSet(ByteReader &r, LaneSet &m, unsigned expect)
 {
     const uint32_t n = r.u32();
     if (n != expect) {
         r.failWith("lane mask size mismatch");
         return false;
     }
-    m.resize(n);
-    return r.bytes(m.data(), n);
+    m = 0;
+    for (unsigned lane = 0; lane < n; ++lane) {
+        const uint8_t v = r.u8();
+        if (v > 1) {
+            r.failWith("lane mask byte is neither 0 nor 1");
+            return false;
+        }
+        m |= LaneSet{v} << lane;
+    }
+    return !r.failed();
 }
 
 void
@@ -519,9 +529,16 @@ RegFileSystem::saveState(ByteWriter &w) const
     put_entries(dataEntries_);
     put_entries(metaEntries_);
 
+    // Each lane as the 64-bit value (tag << 32) | word.
+    const auto put_vec = [&w](const LaneVec &v) {
+        w.u32(static_cast<uint32_t>(v.words.size()));
+        for (unsigned i = 0; i < v.words.size(); ++i)
+            w.u64(static_cast<uint64_t>(hasLane(v.tags, i)) << 32 |
+                  v.words[i]);
+    };
     w.u32(static_cast<uint32_t>(slots_.size()));
-    for (const auto &s : slots_)
-        putU64Vec(w, s);
+    for (const LaneVec &s : slots_)
+        put_vec(s);
     w.u32(static_cast<uint32_t>(slotInfo_.size()));
     for (const SlotInfo &si : slotInfo_) {
         w.b(si.isMeta);
@@ -541,8 +558,8 @@ RegFileSystem::saveState(ByteWriter &w) const
     }
 
     w.u32(static_cast<uint32_t>(spillStore_.size()));
-    for (const auto &s : spillStore_)
-        putU64Vec(w, s);
+    for (const LaneVec &s : spillStore_)
+        put_vec(s);
     putI32Vec(w, freeSpillIds_);
 
     w.u32(dataVecCount_);
@@ -574,6 +591,26 @@ RegFileSystem::loadState(ByteReader &r)
     if (!get_entries(dataEntries_) || !get_entries(metaEntries_))
         return false;
 
+    const unsigned lanes = cfg_.numLanes;
+    const auto get_vec = [&r, lanes](LaneVec &v) {
+        if (r.u32() != lanes) {
+            r.failWith("register lane vector size mismatch");
+            return false;
+        }
+        v.words.resize(lanes);
+        v.tags = 0;
+        for (unsigned i = 0; i < lanes; ++i) {
+            const uint64_t x = r.u64();
+            if (x >> 33) {
+                r.failWith("register lane value exceeds 33 bits");
+                return false;
+            }
+            v.words[i] = static_cast<uint32_t>(x);
+            v.tags |= (x >> 32) << i;
+        }
+        return !r.failed();
+    };
+
     // The slot and slot-info tables grow on demand during a run, so a
     // restore rebuilds them at the saved size (a fresh device and one
     // that already ran a kernel both restore correctly).
@@ -583,8 +620,8 @@ RegFileSystem::loadState(ByteReader &r)
         return false;
     }
     slots_.assign(num_slots, {});
-    for (auto &s : slots_) {
-        if (!getU64Vec(r, s))
+    for (LaneVec &s : slots_) {
+        if (!get_vec(s))
             return false;
     }
     const uint32_t num_info = r.u32();
@@ -616,9 +653,13 @@ RegFileSystem::loadState(ByteReader &r)
     }
 
     const uint32_t num_spill = r.u32();
+    if (uint64_t{num_spill} * (4 + 8 * uint64_t{lanes}) > r.remaining()) {
+        r.failWith("spill store exceeds remaining input");
+        return false;
+    }
     spillStore_.resize(num_spill);
-    for (auto &s : spillStore_) {
-        if (!getU64Vec(r, s))
+    for (LaneVec &s : spillStore_) {
+        if (!get_vec(s))
             return false;
     }
     if (!getI32Vec(r, freeSpillIds_))
@@ -766,12 +807,12 @@ Sm::saveState(ByteWriter &w) const
             w.u32(pc);
         for (uint32_t nest : warp.nest)
             w.u32(nest);
-        putLaneMask(w, warp.halted);
+        putLaneSet(w, warp.halted, cfg_.numLanes);
         for (const auto &pcc : warp.pcc)
             putCapPipe(w, pcc);
         w.u64(warp.readyAt);
         w.b(warp.atBarrier);
-        w.u32(warp.liveThreads);
+        w.u32(laneCount(liveLanes(warp)));
         w.b(warp.regular);
         w.b(warp.pccUniform);
         putCapPipe(w, warp.fetchCap);
@@ -856,13 +897,16 @@ Sm::loadState(ByteReader &r)
             pc = r.u32();
         for (uint32_t &nest : warp.nest)
             nest = r.u32();
-        if (!getLaneMask(r, warp.halted, lanes))
+        if (!getLaneSet(r, warp.halted, lanes))
             return false;
         for (auto &pcc : warp.pcc)
             pcc = getCapPipe(r);
         warp.readyAt = r.u64();
         warp.atBarrier = r.b();
-        warp.liveThreads = r.u32();
+        if (r.u32() != laneCount(liveLanes(warp))) {
+            r.failWith("live thread count disagrees with the halted lanes");
+            return false;
+        }
         warp.regular = r.b();
         warp.pccUniform = r.b();
         warp.fetchCap = getCapPipe(r);
@@ -940,12 +984,12 @@ Sm::archStateHash() const
             w.u32(pc);
         for (uint32_t nest : warp.nest)
             w.u32(nest);
-        putLaneMask(w, warp.halted);
+        putLaneSet(w, warp.halted, cfg_.numLanes);
         for (const auto &pcc : warp.pcc)
             putCapPipe(w, pcc);
         w.u64(warp.readyAt);
         w.b(warp.atBarrier);
-        w.u32(warp.liveThreads);
+        w.u32(laneCount(liveLanes(warp)));
     }
     putTrapInfo(w, firstTrap_);
     putU64Vec(w, opCounts_);

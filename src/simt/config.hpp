@@ -21,19 +21,12 @@
 #define CHERI_SIMT_SIMT_CONFIG_HPP_
 
 #include <cstdint>
-#include <vector>
 
 #include "simt/faultinject.hpp"
+#include "simt/laneset.hpp"
 
 namespace simt
 {
-
-/**
- * Per-lane boolean mask (active lanes, halted threads, store tags).
- * One byte per lane: std::vector<bool>'s proxy bit addressing is a
- * measurable cost in the simulator's per-lane loops.
- */
-using LaneMask = std::vector<uint8_t>;
 
 /**
  * Host-side execute engine (see DESIGN.md section 10). The engines differ
@@ -73,7 +66,7 @@ constexpr uint32_t kSharedSize = 1 << 16;    ///< 64 KiB
 struct SmConfig
 {
     unsigned numWarps = 64;
-    unsigned numLanes = 32;
+    unsigned numLanes = 32; ///< 1..kMaxLanes (lane sets are one word)
     unsigned numRegs = 32;
 
     /** Enable CHERI: pure-capability code, tagged memory, bounds checks. */

@@ -43,7 +43,7 @@ struct AluCtx
 {
     const DataDesc *rs1;
     const DataDesc *rs2;
-    const uint8_t *active; ///< one byte per lane, nonzero = active
+    LaneSet active;        ///< lanes to execute
     uint32_t *result;      ///< per-lane results; inactive lanes untouched
     int32_t imm;
     unsigned numLanes;
@@ -98,7 +98,7 @@ bool fusionSelected();
 struct MemCtx
 {
     uint8_t *ram;          ///< DRAM backing store, biased to kDramBase
-    const uint8_t *active; ///< one byte per lane, nonzero = active
+    LaneSet active;        ///< lanes to move
     uint32_t *result;      ///< load destination; inactive lanes untouched
     const DataDesc *rs2;   ///< store source values
     uint32_t addr0;        ///< lane-0 byte offset from @p ram

@@ -58,16 +58,30 @@ loadOperand(const DataDesc &d, unsigned lane_base)
         _mm256_mullo_epi32(_mm256_set1_epi32(d.stride), idx));
 }
 
+/** The 8 lanes of @p active from @p lane_base as a 32-bit-lane mask
+ *  (all ones = active): one broadcast of the 8 bits, one test each. */
+__m256i
+activeMask(LaneSet active, unsigned lane_base)
+{
+    const __m256i bits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i group = _mm256_set1_epi32(
+        static_cast<int>((active >> lane_base) & 0xffu));
+    return _mm256_cmpeq_epi32(_mm256_and_si256(group, bits), bits);
+}
+
+/** The lanes of @p active at or above @p lane (a scalar tail). */
+LaneSet
+lanesFrom(LaneSet active, unsigned lane)
+{
+    return active & ~allLanes(lane);
+}
+
 /** Store 8 results, preserving inactive lanes' previous values. */
 void
-blendStore(uint32_t *result, const uint8_t *active, unsigned lane_base,
+blendStore(uint32_t *result, LaneSet active, unsigned lane_base,
            __m256i vals)
 {
-    const __m128i a8 = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(active + lane_base));
-    const __m256i a32 = _mm256_cvtepu8_epi32(a8);
-    const __m256i mask =
-        _mm256_cmpgt_epi32(a32, _mm256_setzero_si256());
+    const __m256i mask = activeMask(active, lane_base);
     const __m256i old = _mm256_loadu_si256(
         reinterpret_cast<const __m256i *>(result + lane_base));
     _mm256_storeu_si256(reinterpret_cast<__m256i *>(result + lane_base),
@@ -111,10 +125,8 @@ packedLoop(const AluCtx &c, VF vf, SF sf)
         const __m256i b = loadOperand(*c.rs2, lane);
         blendStore(c.result, c.active, lane, vf(a, b, vimm, c.imm));
     }
-    for (; lane < c.numLanes; ++lane) {
-        if (c.active[lane])
-            c.result[lane] = sf(c.rs1->at(lane), c.rs2->at(lane), c.imm);
-    }
+    for (const unsigned l : lanesOf(lanesFrom(c.active, lane)))
+        c.result[l] = sf(c.rs1->at(l), c.rs2->at(l), c.imm);
 }
 
 int32_t
@@ -133,15 +145,6 @@ laneOffsets(const MemCtx &c, unsigned lane_base)
     return _mm256_add_epi32(
         _mm256_set1_epi32(static_cast<int>(c.addr0)),
         _mm256_mullo_epi32(_mm256_set1_epi32(c.stride), idx));
-}
-
-__m256i
-activeMask(const uint8_t *active, unsigned lane_base)
-{
-    const __m128i a8 = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(active + lane_base));
-    const __m256i a32 = _mm256_cvtepu8_epi32(a8);
-    return _mm256_cmpgt_epi32(a32, _mm256_setzero_si256());
 }
 
 /** Scalar tails / sub-word lanes in this x86-only TU: unaligned host
@@ -250,54 +253,40 @@ avx2MemHandler(Op op)
                 _mm256_storeu_si256(
                     reinterpret_cast<__m256i *>(c.result + lane), vals);
             }
-            for (; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] = loadHost<uint32_t>(
-                        c.ram + (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) * lane));
-            }
+            for (const unsigned l : lanesOf(lanesFrom(c.active, lane)))
+                c.result[l] = loadHost<uint32_t>(
+                    c.ram + (c.addr0 + static_cast<uint32_t>(c.stride) * l));
         };
       case Op::LHU:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] = loadHost<uint16_t>(
-                        c.ram + (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) * lane));
-            }
+            for (const unsigned lane : lanesOf(c.active))
+                c.result[lane] = loadHost<uint16_t>(
+                    c.ram +
+                    (c.addr0 + static_cast<uint32_t>(c.stride) * lane));
         };
       case Op::LH:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] = static_cast<uint32_t>(
-                        static_cast<int32_t>(
-                            static_cast<int16_t>(loadHost<uint16_t>(
-                                c.ram +
-                                (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) *
-                                     lane)))));
-            }
+            for (const unsigned lane : lanesOf(c.active))
+                c.result[lane] = static_cast<uint32_t>(
+                    static_cast<int32_t>(static_cast<int16_t>(
+                        loadHost<uint16_t>(
+                            c.ram + (c.addr0 +
+                                     static_cast<uint32_t>(c.stride) *
+                                         lane)))));
         };
       case Op::LBU:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] =
-                        c.ram[c.addr0 +
-                              static_cast<uint32_t>(c.stride) * lane];
-            }
+            for (const unsigned lane : lanesOf(c.active))
+                c.result[lane] =
+                    c.ram[c.addr0 + static_cast<uint32_t>(c.stride) * lane];
         };
       case Op::LB:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.result[lane] = static_cast<uint32_t>(
-                        static_cast<int32_t>(static_cast<int8_t>(
-                            c.ram[c.addr0 +
-                                  static_cast<uint32_t>(c.stride) *
-                                      lane])));
-            }
+            for (const unsigned lane : lanesOf(c.active))
+                c.result[lane] = static_cast<uint32_t>(
+                    static_cast<int32_t>(static_cast<int8_t>(
+                        c.ram[c.addr0 +
+                              static_cast<uint32_t>(c.stride) * lane])));
         };
       case Op::SW:
         // Contiguous warp stores (the overwhelmingly common stride-4
@@ -309,48 +298,37 @@ avx2MemHandler(Op op)
             unsigned lane = 0;
             if (c.stride == 4) {
                 for (; lane + 8 <= c.numLanes; lane += 8) {
-                    const __m256i mask = activeMask(c.active, lane);
-                    if (_mm256_movemask_epi8(mask) == -1) {
+                    const LaneSet group = (c.active >> lane) & 0xffu;
+                    if (group == 0xffu) {
                         _mm256_storeu_si256(
                             reinterpret_cast<__m256i *>(
                                 c.ram + (c.addr0 + 4u * lane)),
                             loadOperand(*c.rs2, lane));
                     } else {
-                        for (unsigned l = lane; l < lane + 8; ++l) {
-                            if (c.active[l])
-                                storeHost<uint32_t>(
-                                    c.ram + (c.addr0 + 4u * l),
-                                    c.rs2->at(l));
-                        }
+                        for (const unsigned l : lanesOf(group << lane))
+                            storeHost<uint32_t>(
+                                c.ram + (c.addr0 + 4u * l), c.rs2->at(l));
                     }
                 }
             }
-            for (; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    storeHost<uint32_t>(
-                        c.ram + (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) * lane),
-                        c.rs2->at(lane));
-            }
+            for (const unsigned l : lanesOf(lanesFrom(c.active, lane)))
+                storeHost<uint32_t>(
+                    c.ram + (c.addr0 + static_cast<uint32_t>(c.stride) * l),
+                    c.rs2->at(l));
         };
       case Op::SH:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    storeHost<uint16_t>(
-                        c.ram + (c.addr0 +
-                                 static_cast<uint32_t>(c.stride) * lane),
-                        static_cast<uint16_t>(c.rs2->at(lane)));
-            }
+            for (const unsigned lane : lanesOf(c.active))
+                storeHost<uint16_t>(
+                    c.ram +
+                        (c.addr0 + static_cast<uint32_t>(c.stride) * lane),
+                    static_cast<uint16_t>(c.rs2->at(lane)));
         };
       case Op::SB:
         return +[](const MemCtx &c) {
-            for (unsigned lane = 0; lane < c.numLanes; ++lane) {
-                if (c.active[lane])
-                    c.ram[c.addr0 +
-                          static_cast<uint32_t>(c.stride) * lane] =
-                        static_cast<uint8_t>(c.rs2->at(lane));
-            }
+            for (const unsigned lane : lanesOf(c.active))
+                c.ram[c.addr0 + static_cast<uint32_t>(c.stride) * lane] =
+                    static_cast<uint8_t>(c.rs2->at(lane));
         };
       default:
         return nullptr;

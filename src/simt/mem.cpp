@@ -341,14 +341,13 @@ MainMemory::dataHash(uint32_t addr, uint32_t bytes, uint32_t exclude_addr,
 }
 
 std::vector<MemTransaction>
-Coalescer::coalesce(const std::vector<uint32_t> &addrs,
-                    const LaneMask &active,
+Coalescer::coalesce(const std::vector<uint32_t> &addrs, LaneSet active,
                     unsigned access_bytes) const
 {
     std::vector<MemTransaction> txns;
-    for (size_t lane = 0; lane < addrs.size(); ++lane) {
-        if (!active[lane])
-            continue;
+    const LaneSet lanes =
+        active & allLanes(static_cast<unsigned>(addrs.size()));
+    for (const unsigned lane : lanesOf(lanes)) {
         // An access may straddle a segment boundary; cover both segments.
         const uint32_t first = addrs[lane] & ~(segmentBytes_ - 1);
         const uint32_t last =

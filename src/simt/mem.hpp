@@ -239,12 +239,12 @@ class Coalescer
     /**
      * Compute the transactions for a set of per-lane accesses.
      * @param addrs      per-lane addresses (only active entries are read)
-     * @param active     per-lane enable mask
+     * @param active     lanes to coalesce
      * @param accessBytes bytes accessed per lane
      */
     std::vector<MemTransaction>
-    coalesce(const std::vector<uint32_t> &addrs,
-             const LaneMask &active, unsigned access_bytes) const;
+    coalesce(const std::vector<uint32_t> &addrs, LaneSet active,
+             unsigned access_bytes) const;
 
   private:
     unsigned segmentBytes_;

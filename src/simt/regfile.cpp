@@ -12,19 +12,6 @@ namespace simt
 namespace
 {
 
-/** Pack a CapMeta into a 64-bit lane value for VRF/spill storage. */
-uint64_t
-packMeta(const CapMeta &m)
-{
-    return (static_cast<uint64_t>(m.tag) << 32) | m.meta;
-}
-
-CapMeta
-unpackMeta(uint64_t v)
-{
-    return CapMeta{static_cast<uint32_t>(v), ((v >> 32) & 1) != 0};
-}
-
 /** Does a data vector compress to base+stride with an 8-bit stride? */
 bool
 compressData(const std::vector<uint32_t> &vals, uint32_t &base,
@@ -104,12 +91,6 @@ RegFileSystem::reset()
     useClock_ = 0;
 }
 
-unsigned
-RegFileSystem::entryIndex(unsigned warp, unsigned reg) const
-{
-    return warp * cfg_.numRegs + reg;
-}
-
 int
 RegFileSystem::allocSlot(bool for_meta, RfAccess &acc)
 {
@@ -133,7 +114,7 @@ RegFileSystem::allocSlot(bool for_meta, RfAccess &acc)
         freeSlots_.pop_back();
     } else {
         slot = static_cast<int>(slots_.size());
-        slots_.emplace_back(cfg_.numLanes, 0);
+        slots_.push_back(LaneVec{std::vector<uint32_t>(cfg_.numLanes), 0});
         slotInfo_.emplace_back();
     }
     ++usedSlots_;
@@ -224,12 +205,10 @@ RegFileSystem::expandData(const Entry &e, std::vector<uint32_t> &out) const
         break;
       }
       case Kind::Vector:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = static_cast<uint32_t>(slots_[e.slot][i]);
+        out = slots_[e.slot].words;
         break;
       case Kind::Spilled:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = static_cast<uint32_t>(spillStore_[e.spillId][i]);
+        out = spillStore_[e.spillId].words;
         break;
       default:
         panic("bad data entry kind");
@@ -252,13 +231,13 @@ RegFileSystem::expandMeta(const Entry &e, std::vector<CapMeta> &out) const
         }
         break;
       case Kind::Vector:
+      case Kind::Spilled: {
+        const LaneVec &v = e.kind == Kind::Vector ? slots_[e.slot]
+                                                  : spillStore_[e.spillId];
         for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = unpackMeta(slots_[e.slot][i]);
+            out[i] = CapMeta{v.words[i], hasLane(v.tags, i)};
         break;
-      case Kind::Spilled:
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            out[i] = unpackMeta(spillStore_[e.spillId][i]);
-        break;
+      }
       default:
         panic("bad meta entry kind");
     }
@@ -318,8 +297,8 @@ RegFileSystem::readData(unsigned warp, unsigned reg,
 
 void
 RegFileSystem::writeData(unsigned warp, unsigned reg,
-                         const std::vector<uint32_t> &vals,
-                         const LaneMask &mask, RfAccess &acc)
+                         const std::vector<uint32_t> &vals, LaneSet mask,
+                         RfAccess &acc)
 {
     if (reg == 0)
         return; // x0 is hardwired to zero
@@ -327,7 +306,7 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
     const std::vector<uint32_t> *src = &vals;
     if (injector_ && injector_->stuckLaneActive()) {
         const unsigned lane = injector_->plan().lane % cfg_.numLanes;
-        if (mask[lane]) {
+        if (hasLane(mask, lane)) {
             faultDataScratch_ = vals;
             injector_->corruptLaneValue(faultDataScratch_[lane]);
             src = &faultDataScratch_;
@@ -336,21 +315,15 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
 
     Entry &e = dataEntries_[entryIndex(warp, reg)];
 
-    bool full_mask = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        full_mask = full_mask && mask[i];
-
     // Merge through a pointer: the full-mask write (the common case)
     // uses the caller's buffer directly instead of copying it.
     const std::vector<uint32_t> *merged = src;
-    if (!full_mask) {
+    if (!allLive(mask, cfg_.numLanes)) {
         if (e.kind == Kind::Spilled)
             unspillData(e, warp, reg, acc);
         expandData(e, mergeDataScratch_);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-            if (mask[i])
-                mergeDataScratch_[i] = (*src)[i];
-        }
+        for (const unsigned i : lanesOf(mask))
+            mergeDataScratch_[i] = (*src)[i];
         merged = &mergeDataScratch_;
     }
 
@@ -378,8 +351,9 @@ RegFileSystem::writeData(unsigned warp, unsigned reg,
     }
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.dataFromVrf = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        slots_[e.slot][i] = (*merged)[i];
+    LaneVec &slot = slots_[e.slot];
+    std::copy_n(merged->begin(), cfg_.numLanes, slot.words.begin());
+    slot.tags = 0;
 }
 
 void
@@ -407,8 +381,8 @@ RegFileSystem::readMeta(unsigned warp, unsigned reg,
 
 void
 RegFileSystem::writeMeta(unsigned warp, unsigned reg,
-                         const std::vector<CapMeta> &vals,
-                         const LaneMask &mask, RfAccess &acc)
+                         const std::vector<CapMeta> &vals, LaneSet mask,
+                         RfAccess &acc)
 {
     panic_if(!cfg_.purecap, "metadata access without purecap");
     if (reg == 0)
@@ -423,8 +397,8 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     }
 
     bool any_nonnull = false;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-        if (mask[i] && !(*src)[i].isNull()) {
+    for (const unsigned i : lanesOf(mask)) {
+        if (!(*src)[i].isNull()) {
             panic_if(reg >= cfg_.metaRegsTracked,
                      "capability written to x%u, beyond the metadata "
                      "SRF's %u tracked registers",
@@ -438,10 +412,8 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     if (!cfg_.metaCompressed) {
         const size_t base =
             static_cast<size_t>(entryIndex(warp, reg)) * cfg_.numLanes;
-        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-            if (mask[i])
-                flatMeta_[base + i] = (*src)[i];
-        }
+        for (const unsigned i : lanesOf(mask))
+            flatMeta_[base + i] = (*src)[i];
         return;
     }
 
@@ -455,21 +427,15 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     if (!any_nonnull && e.kind == Kind::Scalar && !e.tag && e.base == 0)
         return;
 
-    bool full_mask = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        full_mask = full_mask && mask[i];
-
     // Merge through a pointer: the full-mask write (the common case)
     // uses the caller's buffer directly instead of copying it.
     const std::vector<CapMeta> *mergedp = src;
-    if (!full_mask) {
+    if (!allLive(mask, cfg_.numLanes)) {
         if (e.kind == Kind::Spilled)
             unspillMeta(e, warp, reg, acc);
         expandMeta(e, mergeMetaScratch_);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i) {
-            if (mask[i])
-                mergeMetaScratch_[i] = (*src)[i];
-        }
+        for (const unsigned i : lanesOf(mask))
+            mergeMetaScratch_[i] = (*src)[i];
         mergedp = &mergeMetaScratch_;
     }
     const std::vector<CapMeta> &merged = *mergedp;
@@ -534,14 +500,18 @@ RegFileSystem::writeMeta(unsigned warp, unsigned reg,
     }
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.metaFromVrf = true;
-    for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        slots_[e.slot][i] = packMeta(merged[i]);
+    LaneVec &slot = slots_[e.slot];
+    slot.tags = 0;
+    for (unsigned i = 0; i < cfg_.numLanes; ++i) {
+        slot.words[i] = merged[i].meta;
+        slot.tags |= LaneSet{merged[i].tag} << i;
+    }
 }
 
 void
 RegFileSystem::readDataDesc(unsigned warp, unsigned reg,
                             std::vector<uint32_t> &scratch, DataDesc &desc,
-                            RfAccess &acc)
+                            RfAccess &acc, bool in_place)
 {
     Entry &e = dataEntries_[entryIndex(warp, reg)];
     if (e.kind == Kind::Spilled)
@@ -549,11 +519,11 @@ RegFileSystem::readDataDesc(unsigned warp, unsigned reg,
     if (e.kind == Kind::Vector) {
         acc.dataFromVrf = true;
         slotInfo_[e.slot].lastUse = ++useClock_;
-        scratch.resize(cfg_.numLanes);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            scratch[i] = static_cast<uint32_t>(slots_[e.slot][i]);
+        const std::vector<uint32_t> &words = slots_[e.slot].words;
+        if (!in_place)
+            scratch = words;
         desc.kind = DataDesc::Kind::Lanes;
-        desc.lanes = scratch.data();
+        desc.lanes = in_place ? words.data() : scratch.data();
         return;
     }
     desc.kind = DataDesc::Kind::Affine;
@@ -594,9 +564,7 @@ RegFileSystem::readMetaDesc(unsigned warp, unsigned reg,
     if (e.kind == Kind::Vector) {
         acc.metaFromVrf = true;
         slotInfo_[e.slot].lastUse = ++useClock_;
-        scratch.resize(cfg_.numLanes);
-        for (unsigned i = 0; i < cfg_.numLanes; ++i)
-            scratch[i] = unpackMeta(slots_[e.slot][i]);
+        expandMeta(e, scratch);
         desc.kind = MetaDesc::Kind::Lanes;
         desc.lanes = scratch.data();
         desc.external = false;
@@ -634,8 +602,8 @@ RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
                 base + static_cast<uint32_t>(stride) * i;
         injector_->corruptLaneValue(
             faultDataScratch_[injector_->plan().lane % cfg_.numLanes]);
-        const LaneMask full(cfg_.numLanes, 1);
-        writeData(warp, reg, faultDataScratch_, full, acc);
+        writeData(warp, reg, faultDataScratch_, allLanes(cfg_.numLanes),
+                  acc);
         return;
     }
 
@@ -666,8 +634,10 @@ RegFileSystem::writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
     }
     slotInfo_[e.slot].lastUse = ++useClock_;
     acc.dataFromVrf = true;
+    LaneVec &slot = slots_[e.slot];
     for (unsigned i = 0; i < cfg_.numLanes; ++i)
-        slots_[e.slot][i] = base + static_cast<uint32_t>(stride) * i;
+        slot.words[i] = base + static_cast<uint32_t>(stride) * i;
+    slot.tags = 0;
 }
 
 void

@@ -168,14 +168,14 @@ class RegFileSystem
     void readData(unsigned warp, unsigned reg, std::vector<uint32_t> &out,
                   RfAccess &acc);
     void writeData(unsigned warp, unsigned reg,
-                   const std::vector<uint32_t> &vals,
-                   const LaneMask &mask, RfAccess &acc);
+                   const std::vector<uint32_t> &vals, LaneSet mask,
+                   RfAccess &acc);
 
     void readMeta(unsigned warp, unsigned reg, std::vector<CapMeta> &out,
                   RfAccess &acc);
     void writeMeta(unsigned warp, unsigned reg,
-                   const std::vector<CapMeta> &vals,
-                   const LaneMask &mask, RfAccess &acc);
+                   const std::vector<CapMeta> &vals, LaneSet mask,
+                   RfAccess &acc);
 
     // ---- Descriptor access (warp-regularity fast path) ----
     //
@@ -183,15 +183,34 @@ class RegFileSystem
     // forms of writeData/writeMeta: the same unspills, spills, LRU
     // touches and stat events occur in the same order; only the per-lane
     // expansion of compressed registers is elided. Expanded (vector)
-    // registers are copied into @p scratch immediately so the returned
-    // view stays valid across later reads that may spill the slot.
+    // registers are copied into @p scratch so the returned view stays
+    // valid across later reads that may spill the slot -- except that a
+    // data read with @p in_place set points the view straight into the
+    // VRF slot. The caller sets it only when nothing before the view's
+    // last use can evict or rewrite the slot: no read of the same step
+    // reloads a spilled register (see dataSpilled/metaSpilled; only a
+    // reload allocates a slot, so only a reload can evict one), and the
+    // step's own writeback comes after its last operand use.
 
     void readDataDesc(unsigned warp, unsigned reg,
                       std::vector<uint32_t> &scratch, DataDesc &desc,
-                      RfAccess &acc);
+                      RfAccess &acc, bool in_place = false);
     void readMetaDesc(unsigned warp, unsigned reg,
                       std::vector<CapMeta> &scratch, MetaDesc &desc,
                       RfAccess &acc);
+
+    /** Would reading this register reload it from the spill store? */
+    bool
+    dataSpilled(unsigned warp, unsigned reg) const
+    {
+        return dataEntries_[entryIndex(warp, reg)].kind == Kind::Spilled;
+    }
+    bool
+    metaSpilled(unsigned warp, unsigned reg) const
+    {
+        return cfg_.metaCompressed &&
+               metaEntries_[entryIndex(warp, reg)].kind == Kind::Spilled;
+    }
 
     /** Full-mask affine write: equals writeData of the expanded sequence. */
     void writeDataAffine(unsigned warp, unsigned reg, uint32_t base,
@@ -259,6 +278,19 @@ class RegFileSystem
         int spillId = -1;
     };
 
+    /**
+     * One vector register's lanes in the VRF or the spill store. Data
+     * registers use the words alone (tags stay empty); metadata
+     * registers keep each lane's meta word plus its tag bit in @ref
+     * tags. The checkpoint stores each lane as the 64-bit value
+     * (tag << 32) | word.
+     */
+    struct LaneVec
+    {
+        std::vector<uint32_t> words;
+        LaneSet tags = 0;
+    };
+
     struct SlotInfo
     {
         bool isMeta = false;
@@ -267,7 +299,11 @@ class RegFileSystem
         uint64_t lastUse = 0;
     };
 
-    unsigned entryIndex(unsigned warp, unsigned reg) const;
+    unsigned
+    entryIndex(unsigned warp, unsigned reg) const
+    {
+        return warp * cfg_.numRegs + reg;
+    }
 
     // VRF slot management (shared or split depending on configuration).
     int allocSlot(bool for_meta, RfAccess &acc);
@@ -296,9 +332,8 @@ class RegFileSystem
     std::vector<Entry> dataEntries_;
     std::vector<Entry> metaEntries_;
 
-    // VRF storage: one buffer of lane values per slot. Data uses the low
-    // 32 bits; metadata packs {tag, meta} into the low 33 bits.
-    std::vector<std::vector<uint64_t>> slots_;
+    // VRF storage: one lane vector per slot.
+    std::vector<LaneVec> slots_;
     std::vector<SlotInfo> slotInfo_;
     std::vector<int> freeSlots_;
     unsigned usedSlots_ = 0;
@@ -313,7 +348,7 @@ class RegFileSystem
     std::vector<CapMeta> flatMeta_;
 
     // Spill backing store.
-    std::vector<std::vector<uint64_t>> spillStore_;
+    std::vector<LaneVec> spillStore_;
     std::vector<int> freeSpillIds_;
 
     unsigned dataVecCount_ = 0;

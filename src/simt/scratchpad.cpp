@@ -120,7 +120,7 @@ Scratchpad::clearTagForStore(uint32_t addr, unsigned bytes)
 
 unsigned
 Scratchpad::conflictCycles(const std::vector<uint32_t> &addrs,
-                           const LaneMask &active) const
+                           LaneSet active) const
 {
     // For each bank, count distinct word addresses accessed. A word
     // maps to exactly one bank, so per-bank distinctness equals
@@ -130,9 +130,9 @@ Scratchpad::conflictCycles(const std::vector<uint32_t> &addrs,
         ccCounts_.resize(banks);
     std::fill(ccCounts_.begin(), ccCounts_.begin() + banks, 0u);
     ccWords_.clear();
-    for (size_t lane = 0; lane < addrs.size(); ++lane) {
-        if (!active[lane])
-            continue;
+    const LaneSet lanes =
+        active & allLanes(static_cast<unsigned>(addrs.size()));
+    for (const unsigned lane : lanesOf(lanes)) {
         const uint32_t word = addrs[lane] / 4;
         if (std::find(ccWords_.begin(), ccWords_.end(), word) ==
             ccWords_.end()) {

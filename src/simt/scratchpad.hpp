@@ -59,7 +59,7 @@ class Scratchpad
      */
     unsigned
     conflictCycles(const std::vector<uint32_t> &addrs,
-                   const LaneMask &active) const;
+                   LaneSet active) const;
 
     /** Order-dependent hash of all words and tags (parity tests). */
     uint64_t

@@ -45,6 +45,22 @@ capToParts(const CapPipe &c, uint32_t &data, CapMeta &meta)
     meta.tag = mem.tag;
 }
 
+/** Outcome of conditional branch @p op on operands @p a and @p b. */
+bool
+branchTaken(Op op, uint32_t a, uint32_t b)
+{
+    const int32_t sa = static_cast<int32_t>(a);
+    const int32_t sb = static_cast<int32_t>(b);
+    switch (op) {
+      case Op::BEQ: return a == b;
+      case Op::BNE: return a != b;
+      case Op::BLT: return sa < sb;
+      case Op::BGE: return sa >= sb;
+      case Op::BLTU: return a < b;
+      default: return a >= b; // BGEU
+    }
+}
+
 float
 asFloat(uint32_t v)
 {
@@ -150,7 +166,8 @@ opTraits(Op op)
 } // namespace
 
 Sm::Sm(const SmConfig &cfg)
-    : cfg_(cfg), dram_(), scratchpad_(cfg_),
+    : cfg_(cfg), allLanes_(allLanes(cfg.numLanes)), dram_(),
+      scratchpad_(cfg_),
       dramTimer_(cfg_.dramLatency, cfg_.dramBytesPerCycle),
       tagController_(cfg_, dramTimer_, stats_),
       stackCache_(cfg_.stackCacheLines, cfg_.stackCacheLineBytes,
@@ -179,6 +196,10 @@ Sm::Sm(const SmConfig &cfg)
       statSimhostPackedMem_(stats_.handle("simhost_packed_mem_instrs")),
       statSimhostFused_(stats_.handle("simhost_fused_instrs"))
 {
+    fatal_if(cfg_.numLanes == 0 || cfg_.numLanes > kMaxLanes,
+             "numLanes (%u) must be between 1 and %u: a warp's lane sets "
+             "are one 64-bit word",
+             cfg_.numLanes, kMaxLanes);
     fatal_if(cfg_.stackCacheLines > 0 &&
                  (cfg_.stackCacheLineBytes <
                       4 * cfg_.numLanes ||
@@ -191,7 +212,6 @@ Sm::Sm(const SmConfig &cfg)
 
     decoded_ = std::make_shared<const engine::DecodedProgram>();
 
-    active_.resize(cfg_.numLanes);
     rs1Data_.resize(cfg_.numLanes);
     rs2Data_.resize(cfg_.numLanes);
     result_.resize(cfg_.numLanes);
@@ -199,7 +219,6 @@ Sm::Sm(const SmConfig &cfg)
     rs1Meta_.resize(cfg_.numLanes);
     rs2Meta_.resize(cfg_.numLanes);
     resultMeta_.resize(cfg_.numLanes);
-    storeCapTags_.resize(cfg_.numLanes);
 
     // Runtime fault-injection sites hook the register-file and scratchpad
     // write paths; memory sites (tag/DRAM-word flips) are applied by the
@@ -264,11 +283,10 @@ Sm::launch(uint32_t entry_pc, unsigned warps_per_block)
     for (auto &w : warps_) {
         w.pc.assign(cfg_.numLanes, entry_pc);
         w.nest.assign(cfg_.numLanes, 0);
-        w.halted.assign(cfg_.numLanes, false);
+        w.halted = 0;
         w.pcc.assign(cfg_.numLanes, code_cap);
         w.readyAt = 0;
         w.atBarrier = false;
-        w.liveThreads = cfg_.numLanes;
         w.regular = true;
         w.pccUniform = true;
     }
@@ -310,46 +328,50 @@ Sm::launch(uint32_t entry_pc, unsigned warps_per_block)
 }
 
 int
-Sm::selectActive(const Warp &warp, LaneMask &active) const
+Sm::selectActive(const Warp &warp, LaneSet &active) const
 {
-    // Deepest nesting level first, then lowest PC (Section 2.3).
-    int leader = -1;
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        if (warp.halted[lane])
-            continue;
-        if (leader < 0 || warp.nest[lane] > warp.nest[leader] ||
-            (warp.nest[lane] == warp.nest[leader] &&
-             warp.pc[lane] < warp.pc[leader])) {
-            leader = static_cast<int>(lane);
+    // Deepest nesting level first, then lowest PC (Section 2.3): the
+    // leader is the lowest lane minimising (~nest, pc) as one key.
+    const LaneSet live = liveLanes(warp);
+    if (live == 0)
+        return -1;
+    const auto key = [&warp](unsigned lane) {
+        return uint64_t{~warp.nest[lane]} << 32 | warp.pc[lane];
+    };
+    unsigned leader = firstLane(live);
+    uint64_t best = key(leader);
+    for (const unsigned lane : lanesOf(live & (live - 1))) {
+        const uint64_t k = key(lane);
+        if (k < best) {
+            best = k;
+            leader = lane;
         }
     }
-    if (leader < 0)
-        return -1;
 
     const bool check_pcc_meta = cfg_.purecap && !cfg_.staticPcMeta;
-    for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-        bool a = !warp.halted[lane] &&
-                 warp.nest[lane] == warp.nest[leader] &&
-                 warp.pc[lane] == warp.pc[leader];
-        if (a && check_pcc_meta) {
-            // Dynamic PC metadata: active threads must agree on the whole
-            // PCC, not just the address.
-            a = warp.pcc[lane] == warp.pcc[leader];
+    LaneSet a = 0;
+    for (const unsigned lane : lanesOf(live))
+        a |= LaneSet{key(lane) == best} << lane;
+    if (check_pcc_meta) {
+        // Dynamic PC metadata: active threads must agree on the whole
+        // PCC, not just the address.
+        for (const unsigned lane : lanesOf(a)) {
+            if (!(warp.pcc[lane] == warp.pcc[leader]))
+                a &= ~laneBit(lane);
         }
-        active[lane] = a;
     }
-    return leader;
+    active = a;
+    return static_cast<int>(leader);
 }
 
 void
 Sm::haltThread(unsigned warp, unsigned lane)
 {
     Warp &w = warps_[warp];
-    if (w.halted[lane])
+    if (hasLane(w.halted, lane))
         return;
-    w.halted[lane] = true;
-    --w.liveThreads;
-    if (w.liveThreads == 0) {
+    w.halted |= laneBit(lane);
+    if (done(w)) {
         --liveWarps_;
         schedUpdate(warp);
         // A finishing warp may be the last arrival its block's barrier
@@ -584,7 +606,7 @@ Sm::releaseBarrierIfReady(unsigned block)
 {
     const unsigned first = block * warpsPerBlock_;
     for (unsigned w = first; w < first + warpsPerBlock_; ++w) {
-        if (!warps_[w].done() && !warps_[w].atBarrier)
+        if (!done(warps_[w]) && !warps_[w].atBarrier)
             return;
     }
     for (unsigned w = first; w < first + warpsPerBlock_; ++w) {
@@ -682,16 +704,11 @@ Sm::runLoop(uint64_t max_cycles)
         firstTrap_.addr = 0;
         for (unsigned wid = 0; wid < cfg_.numWarps; ++wid) {
             const Warp &w = warps_[wid];
-            if (w.done())
+            if (done(w))
                 continue;
             firstTrap_.warp = wid;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!w.halted[lane]) {
-                    firstTrap_.lane = lane;
-                    firstTrap_.pc = w.pc[lane];
-                    break;
-                }
-            }
+            firstTrap_.lane = firstLane(liveLanes(w));
+            firstTrap_.pc = w.pc[firstTrap_.lane];
             break;
         }
     }
@@ -759,20 +776,14 @@ Sm::runLoopCore(uint64_t max_cycles)
                 if (!firstTrap_.trapped) {
                     for (unsigned wid = 0; wid < cfg_.numWarps; ++wid) {
                         const Warp &w = warps_[wid];
-                        if (w.done() || !w.atBarrier)
+                        if (done(w) || !w.atBarrier)
                             continue;
                         firstTrap_.trapped = true;
                         firstTrap_.warp = wid;
                         firstTrap_.kind = TrapKind::BarrierDeadlock;
                         firstTrap_.addr = 0;
-                        for (unsigned lane = 0; lane < cfg_.numLanes;
-                             ++lane) {
-                            if (!w.halted[lane]) {
-                                firstTrap_.lane = lane;
-                                firstTrap_.pc = w.pc[lane];
-                                break;
-                            }
-                        }
+                        firstTrap_.lane = firstLane(liveLanes(w));
+                        firstTrap_.pc = w.pc[firstTrap_.lane];
                         break;
                     }
                 }
@@ -1003,7 +1014,7 @@ Sm::executeAluLane(Warp &w, unsigned wid, unsigned lane, const Instr &in,
         const auto scr_idx = static_cast<isa::Scr>(imm & 0x1f);
         if (scr_idx >= isa::NUM_SCRS) {
             trap(wid, lane, pc, op, scr_idx, TrapKind::BadScrIndex, &in);
-            active_[lane] = false;
+            active_ &= ~laneBit(lane);
             break;
         }
         const CapPipe old = scr_idx == isa::SCR_PCC
@@ -1036,7 +1047,7 @@ Sm::executeAluLane(Warp &w, unsigned wid, unsigned lane, const Instr &in,
         if (op == Op::CSETBOUNDSEXACT && !res.exact) {
             const CapPipe c = cap1();
             trap(wid, lane, pc, op, a, TrapKind::InexactBounds, &in, &c);
-            active_[lane] = false;
+            active_ &= ~laneBit(lane);
             break;
         }
         set_cap_result(res.cap);
@@ -1087,27 +1098,17 @@ Sm::executeWarp(unsigned wid)
     int leader = -1;
     unsigned num_active = 0;
     bool fully_active = false;
+    const LaneSet live = liveLanes(w);
     if (fast_enabled && w.regular && (!check_pcc || w.pccUniform)) {
-        if (w.liveThreads == cfg_.numLanes) {
-            // No lane has halted: skip the per-lane scan entirely.
-            std::fill(active_.begin(), active_.end(), uint8_t{1});
-            leader = 0;
-        } else {
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                const bool a = !w.halted[lane];
-                active_[lane] = a;
-                if (a && leader < 0)
-                    leader = static_cast<int>(lane);
-            }
-        }
-        num_active = w.liveThreads;
+        active_ = live;
+        leader = live != 0 ? static_cast<int>(firstLane(live)) : -1;
+        num_active = laneCount(live);
         fully_active = true;
     } else {
         leader = selectActive(w, active_);
         if (leader >= 0) {
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane)
-                num_active += active_[lane] ? 1 : 0;
-            fully_active = num_active == w.liveThreads;
+            num_active = laneCount(active_);
+            fully_active = active_ == live;
             if (fully_active) {
                 // The issue covers every live lane: the warp has
                 // (re)converged.
@@ -1124,10 +1125,8 @@ Sm::executeWarp(unsigned wid)
     // regularity). In purecap mode the PCC is checked once per warp.
     const size_t idx = (pc - kTcimBase) / 4;
     if (pc % 4 != 0 || idx >= decoded_->size()) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                trap(wid, lane, pc, Op::ILLEGAL, pc, TrapKind::BadFetchPc);
-        }
+        for (const unsigned lane : lanesOf(active_))
+            trap(wid, lane, pc, Op::ILLEGAL, pc, TrapKind::BadFetchPc);
         return 1;
     }
     if (cfg_.purecap) {
@@ -1136,11 +1135,9 @@ Sm::executeWarp(unsigned wid)
               static_cast<uint64_t>(pc) + 4 <= w.fetchHi)) {
             if (!pcc.tag || !(pcc.perms & cap::PERM_EXECUTE) ||
                 !cap::isRangeInBounds(pcc, pc, 4)) {
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                    if (active_[lane])
-                        trap(wid, lane, pc, Op::ILLEGAL, pc,
-                             TrapKind::PccViolation, nullptr, &pcc);
-                }
+                for (const unsigned lane : lanesOf(active_))
+                    trap(wid, lane, pc, Op::ILLEGAL, pc,
+                         TrapKind::PccViolation, nullptr, &pcc);
                 return 1;
             }
             const cap::Bounds fb = cap::getBounds(pcc);
@@ -1153,11 +1150,9 @@ Sm::executeWarp(unsigned wid)
     const Instr &in = decoded_->instrs[idx];
     const Op op = in.op;
     if (op == Op::ILLEGAL) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                trap(wid, lane, pc, op, pc, TrapKind::IllegalInstruction,
-                     &in);
-        }
+        for (const unsigned lane : lanesOf(active_))
+            trap(wid, lane, pc, op, pc, TrapKind::IllegalInstruction,
+                 &in);
         return 1;
     }
 
@@ -1179,20 +1174,32 @@ Sm::executeWarp(unsigned wid)
     // Descriptor reads are side-effect-identical to the eager readData /
     // readMeta calls; compressed registers stay in closed form until a
     // per-lane path actually needs the expansion.
-    RfAccess fetch_acc;
-    DataDesc rs1d, rs2d;
-    MetaDesc rs1m, rs2m;
-    if (tr.usesRs1)
-        regfile_.readDataDesc(wid, in.rs1, rs1Data_, rs1d, fetch_acc);
-    if (tr.usesRs2)
-        regfile_.readDataDesc(wid, in.rs2, rs2Data_, rs2d, fetch_acc);
-
     const bool rs1_is_cap =
         cfg_.purecap &&
         (tr.memAccess || op == Op::JALR ||
          (tr.cheri && op != Op::CRRL && op != Op::CRAM));
     const bool rs2_is_cap = cfg_.purecap &&
                             (op == Op::CSC || op == Op::CSPECIALRW);
+    // Vector data operands are read in place (the descriptor points into
+    // the VRF slot) unless a read of this step reloads a spilled
+    // register: only a reload allocates a slot, so only a reload can
+    // evict one an earlier descriptor points into. The slots stay put
+    // until writeback, which follows the operands' last use.
+    const bool in_place =
+        !((tr.usesRs1 && regfile_.dataSpilled(wid, in.rs1)) ||
+          (tr.usesRs2 && regfile_.dataSpilled(wid, in.rs2)) ||
+          (rs1_is_cap && regfile_.metaSpilled(wid, in.rs1)) ||
+          (rs2_is_cap && regfile_.metaSpilled(wid, in.rs2)));
+
+    RfAccess fetch_acc;
+    DataDesc rs1d, rs2d;
+    MetaDesc rs1m, rs2m;
+    if (tr.usesRs1)
+        regfile_.readDataDesc(wid, in.rs1, rs1Data_, rs1d, fetch_acc,
+                              in_place);
+    if (tr.usesRs2)
+        regfile_.readDataDesc(wid, in.rs2, rs2Data_, rs2d, fetch_acc,
+                              in_place);
     if (rs1_is_cap)
         regfile_.readMetaDesc(wid, in.rs1, rs1Meta_, rs1m, fetch_acc);
     if (rs2_is_cap)
@@ -1272,20 +1279,8 @@ Sm::executeWarp(unsigned wid)
                 const uint32_t a0 =
                     rs1d.base + static_cast<uint32_t>(imm);
                 const int64_t s = rs1d.stride;
-                int min_l = -1, max_l = -1;
-                if (fully_active && w.liveThreads == cfg_.numLanes) {
-                    min_l = 0;
-                    max_l = static_cast<int>(cfg_.numLanes) - 1;
-                } else {
-                    for (unsigned lane = 0; lane < cfg_.numLanes;
-                         ++lane) {
-                        if (!active_[lane])
-                            continue;
-                        if (min_l < 0)
-                            min_l = static_cast<int>(lane);
-                        max_l = static_cast<int>(lane);
-                    }
-                }
+                const int min_l = static_cast<int>(firstLane(active_));
+                const int max_l = static_cast<int>(lastLane(active_));
                 const bool no_holes =
                     num_active ==
                     static_cast<unsigned>(max_l - min_l + 1);
@@ -1332,10 +1327,7 @@ Sm::executeWarp(unsigned wid)
                         // Faults only on lanes storing a tagged source:
                         // need a uniform source tag for a warp verdict.
                         bool first = true, tag0 = false, uniform = true;
-                        for (unsigned lane = 0; lane < cfg_.numLanes;
-                             ++lane) {
-                            if (!active_[lane])
-                                continue;
+                        for (const unsigned lane : lanesOf(active_)) {
                             const bool t = rs2m.at(lane).tag;
                             if (first) {
                                 tag0 = t;
@@ -1397,15 +1389,12 @@ Sm::executeWarp(unsigned wid)
                 if (fault != TrapKind::None) {
                     // Every active lane takes the same trap, in lane
                     // order, with its own (closed-form) address.
-                    for (unsigned lane = 0; lane < cfg_.numLanes;
-                         ++lane) {
-                        if (!active_[lane])
-                            continue;
+                    for (const unsigned lane : lanesOf(active_)) {
                         const uint32_t addr =
                             a0 +
                             static_cast<uint32_t>(rs1d.stride) * lane;
                         trap(wid, lane, pc, op, addr, fault, &in, &c0);
-                        active_[lane] = false;
+                        active_ &= ~laneBit(lane);
                     }
                     writes_rd = (tr.load || is_atomic) &&
                                 in.rd != 0;
@@ -1419,13 +1408,9 @@ Sm::executeWarp(unsigned wid)
                 uint64_t mem_done = now_;
                 unsigned shared_cycles = 0;
                 if (all_shared) {
-                    for (unsigned lane = 0; lane < cfg_.numLanes;
-                         ++lane) {
-                        if (active_[lane])
-                            addrs_[lane] =
-                                a0 + static_cast<uint32_t>(rs1d.stride) *
-                                         lane;
-                    }
+                    for (const unsigned lane : lanesOf(active_))
+                        addrs_[lane] =
+                            a0 + static_cast<uint32_t>(rs1d.stride) * lane;
                     shared_cycles =
                         scratchpad_.conflictCycles(addrs_, active_) *
                         (is_cap_access ? 2 : 1);
@@ -1433,11 +1418,9 @@ Sm::executeWarp(unsigned wid)
                 } else {
                     bool writes_tagged_cap = false;
                     if (op == Op::CSC) {
-                        for (unsigned lane = 0; lane < cfg_.numLanes;
-                             ++lane)
+                        for (const unsigned lane : lanesOf(active_))
                             writes_tagged_cap =
-                                writes_tagged_cap ||
-                                (active_[lane] && rs2m.at(lane).tag);
+                                writes_tagged_cap || rs2m.at(lane).tag;
                     }
                     const uint32_t stack_base = cfg_.smStackBase();
                     if (stackCache_.enabled() && n_min >= stack_base) {
@@ -1485,17 +1468,14 @@ Sm::executeWarp(unsigned wid)
                             }
                         } else {
                         const bool ascending = rs1d.stride >= 0;
-                        const int begin = ascending ? min_l : max_l;
-                        const int end = ascending ? max_l + 1 : min_l - 1;
-                        const int step = ascending ? 1 : -1;
-                        for (int lane = begin; lane != end;
-                             lane += step) {
-                            if (!active_[lane])
-                                continue;
+                        for (LaneSet rest = active_; rest != 0;) {
+                            const unsigned lane = ascending
+                                                      ? firstLane(rest)
+                                                      : lastLane(rest);
+                            rest &= ~laneBit(lane);
                             const uint32_t addr =
                                 a0 +
-                                static_cast<uint32_t>(rs1d.stride) *
-                                    static_cast<unsigned>(lane);
+                                static_cast<uint32_t>(rs1d.stride) * lane;
                             const uint32_t first = addr & ~(seg_bytes - 1);
                             const uint32_t last =
                                 (addr + bytes - 1) & ~(seg_bytes - 1);
@@ -1572,7 +1552,7 @@ Sm::executeWarp(unsigned wid)
                         uint8_t *span = dram_.writableSpan(
                             n_min, n_max - n_min + bytes);
                         const engine::MemCtx mc{
-                            span - (n_min - kDramBase), active_.data(),
+                            span - (n_min - kDramBase), active_,
                             result_.data(), &rs2d, a0 - kDramBase,
                             static_cast<int32_t>(rs1d.stride),
                             cfg_.numLanes};
@@ -1590,21 +1570,15 @@ Sm::executeWarp(unsigned wid)
                             dram_.clearTagsInRange(n_min,
                                                    n_max - n_min + bytes);
                         } else {
-                            for (unsigned lane = 0;
-                                 lane < cfg_.numLanes; ++lane) {
-                                if (active_[lane])
-                                    dram_.clearTagForStore(
-                                        a0 + static_cast<uint32_t>(
-                                                 rs1d.stride) *
-                                                 lane,
-                                        bytes);
-                            }
+                            for (const unsigned lane : lanesOf(active_))
+                                dram_.clearTagForStore(
+                                    a0 + static_cast<uint32_t>(
+                                             rs1d.stride) *
+                                             lane,
+                                    bytes);
                         }
                     } else {
-                        for (unsigned lane = 0; lane < cfg_.numLanes;
-                             ++lane) {
-                            if (!active_[lane])
-                                continue;
+                        for (const unsigned lane : lanesOf(active_)) {
                             const uint32_t addr =
                                 a0 +
                                 static_cast<uint32_t>(rs1d.stride) *
@@ -1653,16 +1627,13 @@ Sm::executeWarp(unsigned wid)
                     // A load handler only reads through MemCtx::ram.
                     const engine::MemCtx mc{
                         const_cast<uint8_t *>(dram_.rawData(kDramBase)),
-                        active_.data(),
+                        active_,
                         result_.data(), &rs2d, a0 - kDramBase,
                         static_cast<int32_t>(rs1d.stride),
                         cfg_.numLanes};
                     mfn(mc);
                 } else {
-                    for (unsigned lane = 0; lane < cfg_.numLanes;
-                         ++lane) {
-                        if (!active_[lane])
-                            continue;
+                    for (const unsigned lane : lanesOf(active_)) {
                         const uint32_t addr =
                             a0 +
                             static_cast<uint32_t>(rs1d.stride) * lane;
@@ -1711,9 +1682,7 @@ Sm::executeWarp(unsigned wid)
             capToParts(c, result_[lane], resultMeta_[lane]);
         };
 
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        for (const unsigned lane : lanesOf(active_)) {
             addrs_[lane] =
                 rs1Data_[lane] +
                 static_cast<uint32_t>(is_atomic ? 0 : imm);
@@ -1749,10 +1718,7 @@ Sm::executeWarp(unsigned wid)
                     const unsigned shift = e + cap::kMantissaWidth - 3;
                     uint64_t rep_w = ~uint64_t{0};
                     cap::Bounds bnd{};
-                    for (unsigned lane = 0; lane < cfg_.numLanes;
-                         ++lane) {
-                        if (!active_[lane])
-                            continue;
+                    for (const unsigned lane : lanesOf(active_)) {
                         const uint32_t a = addrs_[lane];
                         TrapKind fault = TrapKind::None;
                         if (a % bytes != 0) {
@@ -1773,16 +1739,14 @@ Sm::executeWarp(unsigned wid)
                             CapPipe c = cap::setAddr(
                                 capFromParts(rs1Data_[lane], um), a);
                             trap(wid, lane, pc, op, a, fault, &in, &c);
-                            active_[lane] = false;
+                            active_ &= ~laneBit(lane);
                         }
                     }
                     hoisted = true;
                 }
             }
             if (!hoisted) {
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
+            for (const unsigned lane : lanesOf(active_)) {
                 CapPipe c = cap1(lane);
                 c = cap::setAddr(c, addrs_[lane]);
                 TrapKind fault = TrapKind::None;
@@ -1806,7 +1770,7 @@ Sm::executeWarp(unsigned wid)
                     fault = TrapKind::BoundsViolation;
                 if (fault != TrapKind::None) {
                     trap(wid, lane, pc, op, addrs_[lane], fault, &in, &c);
-                    active_[lane] = false;
+                    active_ &= ~laneBit(lane);
                 }
             }
             }
@@ -1814,11 +1778,11 @@ Sm::executeWarp(unsigned wid)
             // The baseline machine performs no capability checks, but a
             // misaligned address still faults the lane rather than the
             // host: corrupted data used as a pointer stays contained.
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (active_[lane] && addrs_[lane] % bytes != 0) {
+            for (const unsigned lane : lanesOf(active_)) {
+                if (addrs_[lane] % bytes != 0) {
                     containmentTrap(wid, lane, pc, op, addrs_[lane],
                                     TrapKind::MisalignedAccess, &in);
-                    active_[lane] = false;
+                    active_ &= ~laneBit(lane);
                 }
             }
         }
@@ -1827,9 +1791,7 @@ Sm::executeWarp(unsigned wid)
         // faults rather than aborting the host. TCIM is load-only and
         // never backs capability or atomic accesses.
         const bool tcim_ok = !is_store && !is_atomic && !is_cap_access;
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        for (const unsigned lane : lanesOf(active_)) {
             const uint32_t a = addrs_[lane];
             bool mapped = Scratchpad::contains(a) || MainMemory::contains(a);
             if (!mapped && tcim_ok)
@@ -1837,30 +1799,21 @@ Sm::executeWarp(unsigned wid)
             if (!mapped) {
                 containmentTrap(wid, lane, pc, op, a,
                                 TrapKind::UnmappedAccess, &in);
-                active_[lane] = false;
+                active_ &= ~laneBit(lane);
             }
         }
 
         // Split shared-memory and DRAM lanes.
-        static thread_local LaneMask dram_lanes, shared_lanes;
-        dram_lanes.assign(cfg_.numLanes, false);
-        shared_lanes.assign(cfg_.numLanes, false);
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
-            if (Scratchpad::contains(addrs_[lane]))
-                shared_lanes[lane] = true;
-            else
-                dram_lanes[lane] = true;
-        }
+        LaneSet shared_lanes = 0;
+        for (const unsigned lane : lanesOf(active_))
+            shared_lanes |= LaneSet{Scratchpad::contains(addrs_[lane])}
+                            << lane;
+        const LaneSet dram_lanes = active_ & ~shared_lanes;
 
         // Scratchpad: bank-conflict serialisation. Capability accesses
         // touch two consecutive words, doubling the occupancy.
         unsigned shared_cycles = 0;
-        bool any_shared = false;
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane)
-            any_shared = any_shared || shared_lanes[lane];
-        if (any_shared) {
+        if (shared_lanes != 0) {
             shared_cycles =
                 scratchpad_.conflictCycles(addrs_, shared_lanes) *
                 (is_cap_access ? 2 : 1);
@@ -1870,16 +1823,12 @@ Sm::executeWarp(unsigned wid)
         // DRAM: coalesce into segments, account tag traffic, queue on the
         // bandwidth-limited channel.
         uint64_t mem_done = now_;
-        bool any_dram = false;
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane)
-            any_dram = any_dram || dram_lanes[lane];
-        if (any_dram) {
+        if (dram_lanes != 0) {
             bool writes_tagged_cap = false;
             if (op == Op::CSC) {
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane)
-                    writes_tagged_cap = writes_tagged_cap ||
-                                        (dram_lanes[lane] &&
-                                         rs2Meta_[lane].tag);
+                for (const unsigned lane : lanesOf(dram_lanes))
+                    writes_tagged_cap =
+                        writes_tagged_cap || rs2Meta_[lane].tag;
             }
             // A warp access entirely within the stack region is served
             // by the compressed stack cache: the addresses are affine
@@ -1890,9 +1839,7 @@ Sm::executeWarp(unsigned wid)
             const uint32_t stack_base = cfg_.smStackBase();
             bool all_stack = stackCache_.enabled();
             uint32_t min_addr = 0xffffffffu;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!dram_lanes[lane])
-                    continue;
+            for (const unsigned lane : lanesOf(dram_lanes)) {
                 all_stack = all_stack && addrs_[lane] >= stack_base;
                 min_addr = std::min(min_addr, addrs_[lane]);
             }
@@ -1938,11 +1885,9 @@ Sm::executeWarp(unsigned wid)
         }
 
         // Functional access per lane.
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        for (const unsigned lane : lanesOf(active_)) {
             const uint32_t addr = addrs_[lane];
-            const bool in_shared = shared_lanes[lane];
+            const bool in_shared = hasLane(shared_lanes, lane);
             if (is_atomic) {
                 result_[lane] =
                     atomicRmw(op, addr, rs2Data_[lane], in.rd != 0);
@@ -2000,17 +1945,13 @@ Sm::executeWarp(unsigned wid)
             capToParts(c, result_[lane], resultMeta_[lane]);
         };
 
-        unsigned count = 0;
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane)
-            count += active_[lane] ? 1 : 0;
+        const unsigned count = laneCount(active_);
         const uint64_t start = std::max(now_, sfuBusyUntil_);
         sfuBusyUntil_ = start + count * cfg_.sfuCyclesPerElem;
         finish = sfuBusyUntil_ + cfg_.pipelineDepth;
         (is_sfu_cheri ? statSfuCheriOps_ : statSfuFpOps_).add(count);
 
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        for (const unsigned lane : lanesOf(active_)) {
             switch (op) {
               case Op::FDIV_S:
                 result_[lane] = asBits(asFloat(rs1Data_[lane]) /
@@ -2041,7 +1982,7 @@ Sm::executeWarp(unsigned wid)
                     const CapPipe c = cap1(lane);
                     trap(wid, lane, pc, op, rs1Data_[lane],
                          TrapKind::InexactBounds, &in, &c);
-                    active_[lane] = false;
+                    active_ &= ~laneBit(lane);
                     break;
                 }
                 set_cap_result(lane, r.cap);
@@ -2301,10 +2242,7 @@ Sm::executeWarp(unsigned wid)
                     bool tags_uniform = true;
                     bool tag0 = false;
                     bool first = true;
-                    for (unsigned lane = 0; lane < cfg_.numLanes;
-                         ++lane) {
-                        if (!active_[lane])
-                            continue;
+                    for (const unsigned lane : lanesOf(active_)) {
                         const uint32_t ai = rs1d.at(lane);
                         const uint32_t ni =
                             n_base +
@@ -2352,16 +2290,14 @@ Sm::executeWarp(unsigned wid)
             // reference.
             if (const engine::AluLoopFn fn = decoded_->aluLoop[idx]) {
                 const engine::AluCtx ctx{&rs1d,          &rs2d,
-                                         active_.data(), result_.data(),
+                                         active_, result_.data(),
                                          imm,            cfg_.numLanes};
                 fn(ctx);
                 fast_done = true;
             }
         }
         if (!fast_done) {
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
+            for (const unsigned lane : lanesOf(active_)) {
                 executeAluLane(w, wid, lane, in, pc, rs1d.at(lane),
                                rs2d.at(lane), rs1m.at(lane));
             }
@@ -2377,57 +2313,27 @@ Sm::executeWarp(unsigned wid)
             // per-lane loop would; a coherent outcome commits uniformly
             // (a loop branch on an affine induction variable is the
             // common case).
-            bool taken = false, coherent = true, first = true;
-            for (unsigned lane = 0; lane < cfg_.numLanes && coherent;
-                 ++lane) {
-                if (!active_[lane])
-                    continue;
-                const uint32_t a = rs1d.at(lane);
-                const uint32_t b = rs2d.at(lane);
-                const int32_t sa = static_cast<int32_t>(a);
-                const int32_t sb = static_cast<int32_t>(b);
-                bool t = false;
-                switch (op) {
-                  case Op::BEQ: t = a == b; break;
-                  case Op::BNE: t = a != b; break;
-                  case Op::BLT: t = sa < sb; break;
-                  case Op::BGE: t = sa >= sb; break;
-                  case Op::BLTU: t = a < b; break;
-                  default: t = a >= b; break; // BGEU
+            const unsigned l0 = static_cast<unsigned>(leader);
+            const bool taken = branchTaken(op, rs1d.at(l0), rs2d.at(l0));
+            bool coherent = true;
+            for (const unsigned lane : lanesOf(active_)) {
+                if (branchTaken(op, rs1d.at(lane), rs2d.at(lane)) != taken) {
+                    coherent = false;
+                    break;
                 }
-                coherent = first || t == taken;
-                taken = t;
-                first = false;
             }
             if (coherent) {
-                const uint32_t tgt =
-                    taken ? pc + static_cast<uint32_t>(imm) : pc + 4;
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                    if (active_[lane])
-                        w.pc[lane] = tgt;
-                }
+                setActivePcs(w, taken ? pc + static_cast<uint32_t>(imm)
+                                      : pc + 4);
                 fast_hit = true;
                 branch_fast = true;
             }
         }
         if (!branch_fast) {
             bool any_taken = false, any_not = false;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
-                const uint32_t a = rs1d.at(lane);
-                const uint32_t b = rs2d.at(lane);
-                const int32_t sa = static_cast<int32_t>(a);
-                const int32_t sb = static_cast<int32_t>(b);
-                bool taken = false;
-                switch (op) {
-                  case Op::BEQ: taken = a == b; break;
-                  case Op::BNE: taken = a != b; break;
-                  case Op::BLT: taken = sa < sb; break;
-                  case Op::BGE: taken = sa >= sb; break;
-                  case Op::BLTU: taken = a < b; break;
-                  default: taken = a >= b; break; // BGEU
-                }
+            for (const unsigned lane : lanesOf(active_)) {
+                const bool taken =
+                    branchTaken(op, rs1d.at(lane), rs2d.at(lane));
                 w.pc[lane] =
                     taken ? pc + static_cast<uint32_t>(imm) : pc + 4;
                 (taken ? any_taken : any_not) = true;
@@ -2447,16 +2353,11 @@ Sm::executeWarp(unsigned wid)
                 res_base = d;
                 res_stride = 0;
                 res_meta = m;
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                    if (active_[lane])
-                        w.pc[lane] = tgt;
-                }
+                setActivePcs(w, tgt);
                 fast_hit = true;
             } else {
                 resultMetaDirty_ = true;
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                    if (!active_[lane])
-                        continue;
+                for (const unsigned lane : lanesOf(active_)) {
                     const CapPipe ret = cap::sealEntry(
                         cap::setAddr(w.pcc[lane], pc + 4));
                     capToParts(ret, result_[lane], resultMeta_[lane]);
@@ -2467,15 +2368,10 @@ Sm::executeWarp(unsigned wid)
             res_affine = true;
             res_base = pc + 4;
             res_stride = 0;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (active_[lane])
-                    w.pc[lane] = tgt;
-            }
+            setActivePcs(w, tgt);
             fast_hit = true;
         } else {
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
+            for (const unsigned lane : lanesOf(active_)) {
                 result_[lane] = pc + 4;
                 w.pc[lane] = tgt;
             }
@@ -2499,12 +2395,9 @@ Sm::executeWarp(unsigned wid)
                 else if (!cap::isRangeInBounds(c, target, 4))
                     fault = TrapKind::JumpBoundsViolation;
                 if (fault != TrapKind::None) {
-                    for (unsigned lane = 0; lane < cfg_.numLanes;
-                         ++lane) {
-                        if (!active_[lane])
-                            continue;
+                    for (const unsigned lane : lanesOf(active_)) {
                         trap(wid, lane, pc, op, target, fault, &in, &c);
-                        active_[lane] = false;
+                        active_ &= ~laneBit(lane);
                     }
                     fast_hit = true;
                 } else {
@@ -2518,10 +2411,7 @@ Sm::executeWarp(unsigned wid)
                     res_base = d;
                     res_stride = 0;
                     res_meta = m;
-                    for (unsigned lane = 0; lane < cfg_.numLanes;
-                         ++lane) {
-                        if (!active_[lane])
-                            continue;
+                    for (const unsigned lane : lanesOf(active_)) {
                         w.pcc[lane] = c;
                         w.pc[lane] = target;
                     }
@@ -2534,18 +2424,13 @@ Sm::executeWarp(unsigned wid)
                 res_affine = true;
                 res_base = pc + 4;
                 res_stride = 0;
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                    if (active_[lane])
-                        w.pc[lane] = target;
-                }
+                setActivePcs(w, target);
                 fast_hit = true;
             }
         } else {
             uint32_t tgt0 = 0;
             bool first = true, tgt_uniform = true;
-            for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                if (!active_[lane])
-                    continue;
+            for (const unsigned lane : lanesOf(active_)) {
                 const uint32_t a = rs1d.at(lane);
                 const uint32_t target =
                     (a + static_cast<uint32_t>(imm)) & ~1u;
@@ -2562,7 +2447,7 @@ Sm::executeWarp(unsigned wid)
                         fault = TrapKind::JumpBoundsViolation;
                     if (fault != TrapKind::None) {
                         trap(wid, lane, pc, op, target, fault, &in, &c);
-                        active_[lane] = false;
+                        active_ &= ~laneBit(lane);
                         continue;
                     }
                     c.otype = cap::OTYPE_UNSEALED;
@@ -2587,39 +2472,28 @@ Sm::executeWarp(unsigned wid)
                 w.pccUniform = false;
         }
     } else if (op == Op::SIMT_PUSH) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        for (const unsigned lane : lanesOf(active_)) {
             ++w.nest[lane];
             w.pc[lane] = pc + 4;
         }
     } else if (op == Op::SIMT_POP) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        for (const unsigned lane : lanesOf(active_)) {
             panic_if(w.nest[lane] == 0, "SIMT_POP at nesting level 0");
             --w.nest[lane];
             w.pc[lane] = pc + 4;
         }
     } else if (op == Op::SIMT_HALT) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                haltThread(wid, lane);
-        }
+        for (const unsigned lane : lanesOf(active_))
+            haltThread(wid, lane);
     } else if (op == Op::SIMT_TRAP) {
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (!active_[lane])
-                continue;
+        for (const unsigned lane : lanesOf(active_)) {
             statSoftBoundsTraps_.add();
             trap(wid, lane, pc, op, 0, TrapKind::SoftwareBoundsTrap, &in);
         }
     } else {
         // Everything else (including SIMT_BARRIER) falls through to the
         // next instruction.
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-            if (active_[lane])
-                w.pc[lane] = pc + 4;
-        }
+        setActivePcs(w, pc + 4);
     }
 
     // ---- Warp-regularity maintenance (host-only state) ----
@@ -2630,9 +2504,7 @@ Sm::executeWarp(unsigned wid)
     // ---- Writeback ----
     RfAccess wb_acc;
     if (writes_rd && in.rd != 0) {
-        bool full_mask = true;
-        for (unsigned lane = 0; lane < cfg_.numLanes; ++lane)
-            full_mask = full_mask && active_[lane];
+        const bool full_mask = active_ == allLanes_;
         if (res_affine && full_mask) {
             regfile_.writeDataAffine(wid, in.rd, res_base, res_stride,
                                      wb_acc);
@@ -2642,9 +2514,7 @@ Sm::executeWarp(unsigned wid)
             if (res_affine) {
                 // Partial mask: expand the closed form for the merge.
                 resultMetaDirty_ = true;
-                for (unsigned lane = 0; lane < cfg_.numLanes; ++lane) {
-                    if (!active_[lane])
-                        continue;
+                for (const unsigned lane : lanesOf(active_)) {
                     result_[lane] =
                         res_base +
                         static_cast<uint32_t>(res_stride) * lane;

@@ -22,6 +22,7 @@
 #ifndef CHERI_SIMT_SIMT_SM_HPP_
 #define CHERI_SIMT_SIMT_SM_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -218,11 +219,10 @@ class Sm
     {
         std::vector<uint32_t> pc;
         std::vector<uint32_t> nest;
-        LaneMask halted;
+        LaneSet halted = 0;
         std::vector<cap::CapPipe> pcc;
         uint64_t readyAt = 0;
         bool atBarrier = false;
-        unsigned liveThreads = 0;
 
         // Host-side warp-regularity tracking (never affects modelled
         // state): `regular` means every live lane shares (nest, pc), so
@@ -240,9 +240,13 @@ class Sm
         cap::CapPipe fetchCap{};
         uint32_t fetchLo = 1;
         uint64_t fetchHi = 0;
-
-        bool done() const { return liveThreads == 0; }
     };
+
+    /** The warp's threads that have not halted. */
+    LaneSet liveLanes(const Warp &w) const { return allLanes_ & ~w.halted; }
+
+    /** Every thread of the warp has halted. */
+    bool done(const Warp &w) const { return w.halted == allLanes_; }
 
     /** Halt one thread (idempotent); maintains live counters. */
     void haltThread(unsigned warp, unsigned lane);
@@ -252,19 +256,31 @@ class Sm
      * the warp's readyAt, or uint64_t max when it can never be issued
      * (finished, or parked at a barrier), so the per-slot round-robin
      * scan reads one dense u64 array instead of the scattered Warp
-     * structs. Must be called after any change to a warp's liveThreads,
+     * structs. Must be called after any change to a warp's halted set,
      * atBarrier or readyAt.
      */
     void schedUpdate(unsigned wid)
     {
         const Warp &w = warps_[wid];
-        sched_[wid] = (w.liveThreads == 0 || w.atBarrier)
+        sched_[wid] = (done(w) || w.atBarrier)
                           ? std::numeric_limits<uint64_t>::max()
                           : w.readyAt;
     }
 
     /** Select the active threads of a warp; returns the leader lane. */
-    int selectActive(const Warp &warp, LaneMask &active) const;
+    int selectActive(const Warp &warp, LaneSet &active) const;
+
+    /** Set the PC of every active lane of @p w to @p target. */
+    void
+    setActivePcs(Warp &w, uint32_t target) const
+    {
+        if (active_ == allLanes_) {
+            std::fill(w.pc.begin(), w.pc.end(), target);
+            return;
+        }
+        for (const unsigned lane : lanesOf(active_))
+            w.pc[lane] = target;
+    }
 
     /** Execute one instruction for a warp. Returns issue-slot cycles. */
     unsigned executeWarp(unsigned warp_id);
@@ -372,6 +388,8 @@ class Sm
     friend struct SmTestAccess;
 
     const SmConfig cfg_;
+    /** Every lane of a warp (bits [0, numLanes)). */
+    const LaneSet allLanes_;
     support::StatSet stats_;
     MainMemory dram_;
     MemShard *shard_ = nullptr;
@@ -424,11 +442,11 @@ class Sm
     // stat set as "op_<name>" when a run finishes.
     std::vector<uint64_t> opCounts_;
 
-    // Reusable per-instruction buffers (avoid per-cycle allocation).
-    LaneMask active_;
+    // The issuing warp's active lanes, then reusable per-instruction
+    // buffers (avoid per-cycle allocation).
+    LaneSet active_ = 0;
     std::vector<uint32_t> rs1Data_, rs2Data_, result_, addrs_;
     std::vector<CapMeta> rs1Meta_, rs2Meta_, resultMeta_;
-    LaneMask storeCapTags_;
     std::vector<MemTransaction> fastTxns_;
 
     // Lazy null-fill for resultMeta_: paths writing per-lane result

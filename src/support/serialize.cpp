@@ -8,17 +8,37 @@ namespace support
 namespace
 {
 
-std::array<uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables: table[0] is the classic bytewise table, and
+ * table[k][b] is the CRC of byte b followed by k zero bytes, so eight
+ * input bytes fold into the running CRC with eight independent lookups.
+ */
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (size_t k = 1; k < t.size(); ++k) {
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+    return t;
+}
+
+uint32_t
+le32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -26,10 +46,18 @@ makeCrcTable()
 uint32_t
 crc32(const uint8_t *p, size_t n, uint32_t seed)
 {
-    static const std::array<uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     uint32_t c = seed ^ 0xFFFFFFFFu;
-    for (size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        const uint32_t lo = c ^ le32(p);
+        const uint32_t hi = le32(p + 4);
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+            t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 

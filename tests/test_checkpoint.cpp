@@ -37,7 +37,36 @@
 #include "nocl/nocl.hpp"
 #include "simt/checkpoint.hpp"
 #include "simt/sm.hpp"
+#include "kc/asm.hpp"
 #include "support/journal.hpp"
+#include "support/serialize.hpp"
+
+namespace simt
+{
+
+/** Test seam declared as a friend of Sm (see sm.hpp). */
+struct SmTestAccess
+{
+    /** Does some warp have a live lane inside a nested region (nest >
+     *  0) and live lanes at different PCs? */
+    static bool
+    hasDivergentWarp(const Sm &sm)
+    {
+        for (const Sm::Warp &w : sm.warps_) {
+            const LaneSet live = sm.liveLanes(w);
+            bool nested = false, split = false;
+            for (const unsigned lane : lanesOf(live)) {
+                nested = nested || w.nest[lane] > 0;
+                split = split || w.pc[lane] != w.pc[firstLane(live)];
+            }
+            if (nested && split)
+                return true;
+        }
+        return false;
+    }
+};
+
+} // namespace simt
 
 namespace
 {
@@ -177,6 +206,115 @@ INSTANTIATE_TEST_SUITE_P(
                    simt::execEngineName(std::get<0>(info.param))) +
                "_sms" + std::to_string(std::get<1>(info.param));
     });
+
+// ------------------------------------------- divergent re-save
+
+class ResaveParity
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, ExecEngine, unsigned>>
+{
+};
+
+TEST_P(ResaveParity, DivergentSnapshotResavesByteIdentically)
+{
+    const auto &[bench, engine, sms] = GetParam();
+    const simt::SmConfig cfg = makeCfg(engine, sms);
+    const Reference ref = runUninterrupted(bench, cfg);
+    ASSERT_TRUE(ref.run.completed);
+    ASSERT_TRUE(ref.verified);
+
+    // Stop near 40% of the run at a point where some warp is divergent
+    // inside a nested region (nest > 0, per-lane PCs differ), so the
+    // image carries a partial halted set and split PCs.
+    Leg leg = makeLeg(bench, cfg);
+    auto launch =
+        leg.dev->beginStepped(leg.compiled, leg.prep.cfg, leg.prep.args);
+    const auto divergent = [&](Device &dev) {
+        for (unsigned i = 0; i < dev.numSms(); ++i) {
+            if (simt::SmTestAccess::hasDivergentWarp(dev.smAt(i)))
+                return true;
+        }
+        return false;
+    };
+    uint64_t stop = ref.run.cycles * 2 / 5;
+    launch->runUntil(stop);
+    while (!divergent(*leg.dev) && stop < ref.run.cycles * 3 / 5) {
+        stop += 7;
+        launch->runUntil(stop);
+    }
+    ASSERT_FALSE(launch->done());
+    ASSERT_TRUE(divergent(*leg.dev)) << "no divergent warp by cycle "
+                                     << stop;
+    const std::vector<uint8_t> image = launch->saveCheckpoint();
+
+    // Restore into a fresh device and save again before running: the
+    // lane sets' bits <-> bytes conversion and the per-lane PCs must
+    // reproduce the image byte for byte.
+    Device fresh(cfg, Mode::Purecap);
+    simt::ckpt::Error err;
+    auto restored = fresh.restoreStepped(image, &err);
+    ASSERT_NE(restored, nullptr) << err.message;
+    ASSERT_TRUE(divergent(fresh));
+    EXPECT_EQ(restored->saveCheckpoint(), image);
+
+    const RunResult got = restored->finish(LaunchPolicy{}.maxCycles);
+    EXPECT_EQ(got.completed, ref.run.completed);
+    EXPECT_EQ(got.trapped, ref.run.trapped);
+    EXPECT_EQ(got.trapKind, ref.run.trapKind);
+    EXPECT_EQ(got.cycles, ref.run.cycles);
+    EXPECT_EQ(fresh.dram().contentHash(), ref.dramHash);
+    EXPECT_TRUE(leg.prep.verify(fresh));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BenchesByEnginesBySms, ResaveParity,
+    ::testing::Combine(::testing::Values(std::string("BlkStencil"),
+                                         std::string("BitonicLa")),
+                       ::testing::Values(ExecEngine::Verbatim,
+                                         ExecEngine::Simd),
+                       ::testing::Values(1u, 4u)),
+    [](const auto &info) {
+        return std::get<0>(info.param) + "_" +
+               simt::execEngineName(std::get<1>(info.param)) + "_sms" +
+               std::to_string(std::get<2>(info.param));
+    });
+
+TEST(SmCheckpoint, PartialHaltResavesByteIdentically)
+{
+    // Lanes with laneid % 4 != 0 halt inside a nested region while the
+    // others spin, so every warp carries a partial halted set and split
+    // PCs -- the lane-set <-> byte conversion must round-trip exactly.
+    kc::Assembler a;
+    const auto spin = a.newLabel();
+    a.emitI(isa::Op::CSRRS, 1, 0, isa::CSR_LANEID);
+    a.emitI(isa::Op::ANDI, 2, 1, 3);
+    a.emit(isa::Op::SIMT_PUSH, 0, 0, 0);
+    a.emitBranch(isa::Op::BEQ, 2, 0, spin);
+    a.emit(isa::Op::SIMT_HALT, 0, 0, 0);
+    a.place(spin);
+    a.emitJump(0, spin);
+
+    simt::SmConfig cfg = simt::SmConfig::cheriOptimised();
+    cfg.numWarps = 4;
+    simt::Sm sm(cfg);
+    sm.loadProgram(a.finalize());
+    sm.launch(0, 1);
+    ASSERT_EQ(sm.runUntil(200), simt::Sm::RunStatus::CycleLimit);
+
+    support::ByteWriter w;
+    sm.saveState(w);
+    simt::Sm restored(cfg);
+    support::ByteReader r(w.data());
+    ASSERT_TRUE(restored.loadState(r)) << r.error();
+    support::ByteWriter again;
+    restored.saveState(again);
+    EXPECT_EQ(again.data(), w.data());
+
+    // Both continue identically.
+    sm.runUntil(400);
+    restored.runUntil(400);
+    EXPECT_EQ(restored.archStateHash(), sm.archStateHash());
+}
 
 // ------------------------------------------------ structured refusal
 

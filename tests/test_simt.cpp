@@ -31,7 +31,7 @@ TEST(Coalescer, UnitStrideWarpsCoalesce)
 {
     Coalescer c(32);
     std::vector<uint32_t> addrs(32);
-    simt::LaneMask active(32, true);
+    simt::LaneSet active = simt::allLanes(32);
     for (unsigned i = 0; i < 32; ++i)
         addrs[i] = kDramBase + 4 * i; // 128 contiguous bytes
     const auto txns = c.coalesce(addrs, active, 4);
@@ -42,7 +42,7 @@ TEST(Coalescer, UniformAddressIsOneTransaction)
 {
     Coalescer c(32);
     std::vector<uint32_t> addrs(32, kDramBase + 64);
-    simt::LaneMask active(32, true);
+    simt::LaneSet active = simt::allLanes(32);
     EXPECT_EQ(c.coalesce(addrs, active, 4).size(), 1u);
 }
 
@@ -50,7 +50,7 @@ TEST(Coalescer, ScatteredAddressesDoNotCoalesce)
 {
     Coalescer c(32);
     std::vector<uint32_t> addrs(32);
-    simt::LaneMask active(32, true);
+    simt::LaneSet active = simt::allLanes(32);
     for (unsigned i = 0; i < 32; ++i)
         addrs[i] = kDramBase + 256 * i;
     EXPECT_EQ(c.coalesce(addrs, active, 4).size(), 32u);
@@ -60,9 +60,9 @@ TEST(Coalescer, InactiveLanesIgnored)
 {
     Coalescer c(32);
     std::vector<uint32_t> addrs(32, 0xdeadbeef); // garbage in inactive lanes
-    simt::LaneMask active(32, false);
+    simt::LaneSet active = 0;
     addrs[5] = kDramBase;
-    active[5] = true;
+    active |= simt::laneBit(5);
     const auto txns = c.coalesce(addrs, active, 4);
     ASSERT_EQ(txns.size(), 1u);
     EXPECT_EQ(txns[0].segment, kDramBase);
@@ -72,7 +72,7 @@ TEST(Coalescer, StraddlingAccessTouchesTwoSegments)
 {
     Coalescer c(32);
     std::vector<uint32_t> addrs(1, kDramBase + 28);
-    simt::LaneMask active(1, true);
+    simt::LaneSet active = simt::allLanes(1);
     // An 8-byte access at offset 28 crosses the 32-byte boundary.
     EXPECT_EQ(c.coalesce(addrs, active, 8).size(), 2u);
 }
@@ -155,7 +155,7 @@ TEST(Scratchpad, ConflictFreeUnitStride)
     SmConfig cfg;
     Scratchpad sp(cfg);
     std::vector<uint32_t> addrs(32);
-    simt::LaneMask active(32, true);
+    simt::LaneSet active = simt::allLanes(32);
     for (unsigned i = 0; i < 32; ++i)
         addrs[i] = kSharedBase + 4 * i; // one word per bank
     EXPECT_EQ(sp.conflictCycles(addrs, active), 1u);
@@ -166,7 +166,7 @@ TEST(Scratchpad, BroadcastSameWord)
     SmConfig cfg;
     Scratchpad sp(cfg);
     std::vector<uint32_t> addrs(32, kSharedBase + 8);
-    simt::LaneMask active(32, true);
+    simt::LaneSet active = simt::allLanes(32);
     EXPECT_EQ(sp.conflictCycles(addrs, active), 1u);
 }
 
@@ -175,7 +175,7 @@ TEST(Scratchpad, StrideTwoConflicts)
     SmConfig cfg;
     Scratchpad sp(cfg);
     std::vector<uint32_t> addrs(32);
-    simt::LaneMask active(32, true);
+    simt::LaneSet active = simt::allLanes(32);
     for (unsigned i = 0; i < 32; ++i)
         addrs[i] = kSharedBase + 8 * i; // stride 2 words: 2-way conflicts
     EXPECT_EQ(sp.conflictCycles(addrs, active), 2u);
@@ -240,7 +240,7 @@ TEST_F(RegFileTest, UniformAndAffineStayOutOfVrf)
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
 
-    simt::LaneMask mask(8, true);
+    simt::LaneSet mask = simt::allLanes(8);
     std::vector<uint32_t> uniform(8, 7);
     rf.writeData(0, 1, uniform, mask, acc);
     std::vector<uint32_t> affine(8);
@@ -263,7 +263,7 @@ TEST_F(RegFileTest, GeneralVectorUsesVrf)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    simt::LaneSet mask = simt::allLanes(8);
     std::vector<uint32_t> vals = {3, 1, 4, 1, 5, 9, 2, 6};
     rf.writeData(0, 5, vals, mask, acc);
     EXPECT_EQ(rf.dataVectorsInVrf(), 1u);
@@ -286,13 +286,13 @@ TEST_F(RegFileTest, PartialWriteMergesWithOldValue)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask full(8, true);
+    simt::LaneSet full = simt::allLanes(8);
     std::vector<uint32_t> uniform(8, 10);
     rf.writeData(0, 3, uniform, full, acc);
 
-    simt::LaneMask low(8, false);
+    simt::LaneSet low = 0;
     for (unsigned i = 0; i < 4; ++i)
-        low[i] = true;
+        low |= simt::laneBit(i);
     std::vector<uint32_t> twenty(8, 20);
     rf.writeData(0, 3, twenty, low, acc);
 
@@ -310,7 +310,7 @@ TEST_F(RegFileTest, SpillAndReloadPreservesValues)
     cfg.vrfCapacity = 2; // force spills
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
-    simt::LaneMask mask(8, true);
+    simt::LaneSet mask = simt::allLanes(8);
 
     std::vector<std::vector<uint32_t>> vecs;
     RfAccess acc;
@@ -341,7 +341,7 @@ TEST_F(RegFileTest, MetaUniformCompresses)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    simt::LaneSet mask = simt::allLanes(8);
     std::vector<CapMeta> metas(8, CapMeta{0xabcd0123, true});
     rf.writeMeta(0, 4, metas, mask, acc);
     EXPECT_EQ(rf.metaVectorsInVrf(), 0u);
@@ -357,7 +357,7 @@ TEST_F(RegFileTest, MetaNvoHoldsPartialNullInSrf)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    simt::LaneSet mask = simt::allLanes(8);
 
     // Half the lanes hold a capability, half hold integers (null meta):
     // with NVO this stays out of the VRF.
@@ -379,7 +379,7 @@ TEST_F(RegFileTest, MetaWithoutNvoGoesToVrf)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    simt::LaneSet mask = simt::allLanes(8);
     std::vector<CapMeta> metas(8);
     for (unsigned i = 0; i < 8; ++i)
         metas[i] = i % 2 ? CapMeta{0x1234, true} : CapMeta{};
@@ -393,7 +393,7 @@ TEST_F(RegFileTest, MetaTwoDistinctCapsDefeatsNvo)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    simt::LaneSet mask = simt::allLanes(8);
     std::vector<CapMeta> metas(8);
     for (unsigned i = 0; i < 8; ++i)
         metas[i] = CapMeta{i % 2 ? 0x1111u : 0x2222u, true};
@@ -407,7 +407,7 @@ TEST_F(RegFileTest, CapRegMaskTracksCapabilityRegisters)
     support::StatSet stats;
     RegFileSystem rf(cfg, stats);
     RfAccess acc;
-    simt::LaneMask mask(8, true);
+    simt::LaneSet mask = simt::allLanes(8);
     std::vector<CapMeta> caps(8, CapMeta{0x99, true});
     std::vector<CapMeta> nulls(8);
     rf.writeMeta(0, 3, caps, mask, acc);

@@ -1,15 +1,20 @@
 /**
  * @file
  * Unit tests for the support library: bit utilities, RNG determinism,
- * the stat registry, and the JSON document model (serialiser + parser).
+ * CRC-32, the stat registry, and the JSON document model (serialiser +
+ * parser).
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "support/bits.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
+#include "support/serialize.hpp"
 #include "support/stats.hpp"
 #include "support/trace.hpp"
 
@@ -105,6 +110,65 @@ TEST(Rng, BoundedAndRange)
         const float f = r.nextFloat();
         EXPECT_GE(f, 0.0f);
         EXPECT_LT(f, 1.0f);
+    }
+}
+
+/** Bytewise CRC-32 reference: the classic one-table loop. */
+uint32_t
+crc32Bytewise(const uint8_t *p, size_t n, uint32_t seed)
+{
+    uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, CheckValue)
+{
+    const char *s = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const uint8_t *>(s), 9), 0xCBF43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReference)
+{
+    Rng r(2026);
+    std::vector<uint8_t> buf(4099 + 8);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(r.next());
+    for (int i = 0; i < 400; ++i) {
+        // Random length (every 8-byte residue), start offset (host
+        // alignment) and seed.
+        const size_t n = r.nextBounded(4100);
+        const size_t off = r.nextBounded(8);
+        const auto seed = static_cast<uint32_t>(r.next());
+        const uint8_t *p = buf.data() + off;
+        ASSERT_EQ(crc32(p, n, seed), crc32Bytewise(p, n, seed))
+            << "n=" << n << " off=" << off;
+    }
+}
+
+TEST(Crc32, ChainedSeedsEqualOneCall)
+{
+    Rng r(7);
+    std::vector<uint8_t> buf(4099);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(r.next());
+    const uint32_t whole = crc32(buf.data(), buf.size());
+    ASSERT_EQ(whole, crc32Bytewise(buf.data(), buf.size(), 0));
+    for (int i = 0; i < 100; ++i) {
+        // Split at two random points and chain the pieces.
+        size_t a = r.nextBounded(4100);
+        size_t b = r.nextBounded(4100);
+        if (a > b)
+            std::swap(a, b);
+        uint32_t c = crc32(buf.data(), a);
+        c = crc32(buf.data() + a, b - a, c);
+        c = crc32(buf.data() + b, buf.size() - b, c);
+        ASSERT_EQ(c, whole) << "split at " << a << ", " << b;
     }
 }
 
